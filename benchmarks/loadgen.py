@@ -58,6 +58,9 @@ from repro.service import (  # noqa: E402
 )
 from repro.service.pool import spawn_worker  # noqa: E402
 
+#: Re-opens one request may need before it counts as failed.
+REOPEN_ATTEMPTS = 5
+
 #: Traffic mix: weights of the data-plane requests each client issues.
 DEFAULT_MIX = (
     ("analyze", 0.45),
@@ -201,16 +204,24 @@ def _client_loop(
                 if error.code == "unknown_project":
                     # The daemon evicted this session: the protocol's
                     # contract is "send open_project again" — the replay
-                    # cost belongs to this request's latency.
-                    try:
-                        client.request(
-                            "open_project", recipe.open_params, retries=10
-                        )
-                        client.request(op, params, retries=10)
-                        result.reopens += 1
-                        ok = True
-                    except (ServiceError, ConnectionError, OSError):
-                        pass
+                    # cost belongs to this request's latency.  Under LRU
+                    # thrash other clients' opens can evict it again
+                    # before the retry lands, which forces another replay.
+                    for _ in range(REOPEN_ATTEMPTS):
+                        try:
+                            client.request(
+                                "open_project", recipe.open_params, retries=10
+                            )
+                            result.reopens += 1
+                            client.request(op, params, retries=10)
+                        except ServiceError as again:
+                            if again.code == "unknown_project":
+                                continue
+                        except (ConnectionError, OSError):
+                            pass
+                        else:
+                            ok = True
+                        break
             except (ConnectionError, OSError):
                 pass
             result.ops.append((op, monotonic() - started, ok))

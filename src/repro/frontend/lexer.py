@@ -1,15 +1,34 @@
-"""Hand-written lexer for the MiniC dialect.
+"""Master-regex lexer for the MiniC dialect.
 
 Produces a flat token stream with line/column information.  Comments are
 skipped but the raw source is retained by callers (several pruning
 strategies in :mod:`repro.core.pruning` match against raw source text,
 e.g. ``/* unused */`` markers).
+
+One compiled regex does the scanning.  Each match is the trivia
+(whitespace and comments) before a token plus the token itself, with one
+alternative per token class: identifier/keyword, maximal-munch
+punctuator, number, string literal, char literal.  ``findall`` runs the
+whole text in C; the Python loop only turns each match into a
+:class:`Token`, keeping line and column by counting newlines inside the
+matched trivia and literals (no other token can span a line).  A match
+whose token part is empty is the end of the text or a lexical error; the
+error is diagnosed on that cold path, with the message and location of
+the character-at-a-time reference lexer that the differential tests
+keep (``tests/frontend/reference_lexer.py``).  Tokens are immutable
+tuples.
+
+Identifiers and numbers use Python's Unicode ``\\w``/``\\d``.  These agree
+with the reference lexer's ``isalnum``/``isdigit`` tests on every input
+except a non-ASCII numeric character that is neither a letter nor a
+decimal digit (``²``, ``½``), which here starts an identifier.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -23,6 +42,12 @@ class TokenKind(enum.Enum):
     PUNCT = "punct"
     EOF = "eof"
 
+
+# Reading a member off an enum class is a slow metaclass attribute
+# lookup; the per-token paths use these module constants (and
+# ``tokenize`` its locals) instead.
+_PUNCT = TokenKind.PUNCT
+_KEYWORD = TokenKind.KEYWORD
 
 KEYWORDS = frozenset(
     {
@@ -63,59 +88,8 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character punctuators, longest first so maximal munch works.
-_PUNCTUATORS = [
-    "<<=",
-    ">>=",
-    "...",
-    "->",
-    "++",
-    "--",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "=",
-    "<",
-    ">",
-    "!",
-    "&",
-    "|",
-    "^",
-    "~",
-    "?",
-    ":",
-    ";",
-    ",",
-    ".",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-]
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexed token."""
 
     kind: TokenKind
@@ -124,157 +98,101 @@ class Token:
     column: int
 
     def is_punct(self, text: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.value == text
+        return self.value == text and self.kind is _PUNCT
 
     def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.value == text
+        return self.value == text and self.kind is _KEYWORD
 
     def __repr__(self) -> str:  # compact, useful in parser errors
         return f"Token({self.kind.value}, {self.value!r}, L{self.line})"
 
 
-class Lexer:
-    """Tokenizes MiniC text; see :func:`tokenize` for the usual entry point."""
+_TOKEN_RE = re.compile(
+    r"""
+    (                                   # 1: trivia before the token
+        [ \t\r\n]*
+        (?: (?: //[^\n]* | /\*[\s\S]*?\*/ ) [ \t\r\n]* )*
+    )
+    (?:
+        ( [^\W\d]\w* )                  # 2: identifier or keyword
+      | (                               # 3: punctuator, longest first
+            <<= | >>= | \.\.\. | -> | \+\+ | -- | << | >> | && | \|\|
+          | [-+*/%=<>!&|^]=
+          | /(?!\*)                     #    a '/*' left here is unterminated
+          | [-+*%=<>!&|^~?:;,.(){}\[\]]
+        )
+      | ( 0[xX][0-9a-fA-F]*[uUlLfF]*    # 4: number (suffixes kept in the text)
+        | \d+(?:\.\d*)?[uUlLfF]* )
+      | ( "(?:[^"\\\n]|\\[\s\S])*" )    # 5: string literal
+      | ( '(?:[^'\\\n]|\\[\s\S])*' )    # 6: char literal
+      |                                 # end of text, or a lexical error
+    )
+    """,
+    re.VERBOSE,
+)
 
-    def __init__(self, text: str, filename: str = "<memory>"):
-        self.text = text
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+# A literal's opening quote and body, up to where a bad one stops.
+_LITERAL_PREFIX = re.compile(r"""(["'])(?:(?!\1)[^\\\n]|\\[\s\S])*""")
 
-    # -- character helpers -------------------------------------------------
+# Builds a Token without the Python-level ``__new__`` NamedTuple adds.
+_new_token = tuple.__new__
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+def _location(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.filename, self.line, self.column)
 
-    # -- skipping ----------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments (both ``//`` and ``/* */``)."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    self.line = start_line
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
-
-    def _scan_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":  # float literal; normalised to INT kind
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Integer suffixes are accepted and dropped.
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        return Token(TokenKind.INT, self.text[start : self.pos], line, column)
-
-    def _scan_quoted(self, quote: str, kind: TokenKind) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error(f"unterminated {kind.value} literal")
-            if ch == "\\":
-                chars.append(ch)
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-                continue
-            if ch == quote:
-                self._advance()
-                break
-            if ch == "\n":
-                raise self._error(f"newline in {kind.value} literal")
-            chars.append(ch)
-            self._advance()
-        return Token(kind, "".join(chars), line, column)
-
-    def _scan_punct(self) -> Token:
-        line, column = self.line, self.column
-        for punct in _PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- driver ------------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", self.line, self.column)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._scan_identifier()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == '"':
-            return self._scan_quoted('"', TokenKind.STRING)
-        if ch == "'":
-            return self._scan_quoted("'", TokenKind.CHAR)
-        return self._scan_punct()
-
-    def all_tokens(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+def _lex_error(text: str, pos: int, filename: str) -> LexError:
+    """Diagnose the text at ``pos``, where no token alternative matched."""
+    end = len(text)
+    if text.startswith("/*", pos):
+        # Reported on the comment's opening line, at the end-of-text column.
+        return LexError("unterminated block comment", filename, _location(text, pos)[0], _location(text, end)[1])
+    char = text[pos]
+    if char in "\"'":
+        kind = "string" if char == '"' else "char"
+        stop = _LITERAL_PREFIX.match(text, pos).end()
+        if text.startswith("\n", stop):
+            return LexError(f"newline in {kind} literal", filename, *_location(text, stop))
+        return LexError(f"unterminated {kind} literal", filename, *_location(text, end))
+    return LexError(f"unexpected character {char!r}", filename, *_location(text, pos))
 
 
 def tokenize(text: str, filename: str = "<memory>") -> list[Token]:
     """Tokenize ``text`` and return the token list (EOF-terminated)."""
-    return Lexer(text, filename).all_tokens()
+    ident, keyword, punct, number = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.INT
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    pos = 0  # offset of the text consumed so far
+    line_base = -1  # offset of the last newline before pos (-1 on line 1)
+    for trivia, word, op, digits, string, char in _TOKEN_RE.findall(text):
+        if trivia:
+            if "\n" in trivia:
+                line += trivia.count("\n")
+                line_base = pos + trivia.rindex("\n")
+            pos += len(trivia)
+        if word:
+            append(_new_token(Token, (keyword if word in KEYWORDS else ident, word, line, pos - line_base)))
+            pos += len(word)
+        elif op:
+            append(_new_token(Token, (punct, op, line, pos - line_base)))
+            pos += len(op)
+        elif digits:
+            append(_new_token(Token, (number, digits, line, pos - line_base)))
+            pos += len(digits)
+        elif string or char:
+            literal = string or char
+            kind = TokenKind.STRING if string else TokenKind.CHAR
+            append(_new_token(Token, (kind, literal[1:-1], line, pos - line_base)))
+            if "\n" in literal:  # backslash-newline inside the literal
+                line += literal.count("\n")
+                line_base = pos + literal.rindex("\n")
+            pos += len(literal)
+        else:
+            break
+    if pos != len(text):
+        raise _lex_error(text, pos, filename)
+    append(_new_token(Token, (TokenKind.EOF, "", line, pos - line_base)))
+    return tokens

@@ -15,6 +15,8 @@ are also treated as declarations, which matches how system C code reads.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import ParseError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -46,7 +48,25 @@ _BINARY_PRECEDENCE = {
     "%": 10,
 }
 
+# Number literals: an integer with an optional C suffix, or a decimal float.
+_INTEGER = re.compile(
+    r"(?:0[xX](?P<hex>[0-9a-fA-F]+)|(?P<dec>[1-9][0-9]*)|0(?P<oct>[0-7]*))"
+    r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
+)
+_FLOAT = re.compile(r"(?P<float>[0-9]+\.[0-9]*)[fFlL]?")
+
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
+
+# Token kinds as module constants: reading a member off an enum class is
+# a slow metaclass attribute lookup, and the parser tests a kind on
+# almost every token.
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_INT = TokenKind.INT
+_CHAR = TokenKind.CHAR
+_STRING = TokenKind.STRING
+_PUNCT = TokenKind.PUNCT
+_EOF = TokenKind.EOF
 
 
 class Parser:
@@ -62,20 +82,26 @@ class Parser:
     # -- token helpers -------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``pos`` never passes the EOF token (``_advance`` stops there), so
+        # only a lookahead can run off the end; it reads EOF again.
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not _EOF:
             self.pos += 1
         return token
 
     def _check_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        kind, value, _, _ = self.tokens[self.pos]
+        return value == text and kind is _PUNCT
 
     def _check_keyword(self, text: str) -> bool:
-        return self._peek().is_keyword(text)
+        kind, value, _, _ = self.tokens[self.pos]
+        return value == text and kind is _KEYWORD
 
     def _accept_punct(self, text: str) -> bool:
         if self._check_punct(text):
@@ -94,63 +120,80 @@ class Parser:
             raise self._error(f"expected {text!r}, found {self._peek().value!r}")
         return self._advance()
 
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
+    def _error(self, message: str, token: Token | None = None) -> ParseError:
+        if token is None:
+            token = self._peek()
         return ParseError(message, self.filename, token.line, token.column)
+
+    def _number_value(self, token: Token) -> int:
+        """Decode an INT token: C decimal, octal or hex with an optional
+        integer suffix; a decimal float (optionally ``f``/``l``-suffixed)
+        truncates toward zero, since the IR models every number as an int."""
+        match = _INTEGER.fullmatch(token.value)
+        if match is not None:
+            if match["hex"] is not None:
+                return int(match["hex"], 16)
+            if match["dec"] is not None:
+                return int(match["dec"])
+            return int(match["oct"] or "0", 8)
+        match = _FLOAT.fullmatch(token.value)
+        if match is None:
+            raise self._error(f"malformed number {token.value!r}", token)
+        return int(float(match["float"]))
 
     # -- type recognition ------------------------------------------------
 
     def _starts_type(self, offset: int = 0) -> bool:
         token = self._peek(offset)
-        if token.kind is TokenKind.KEYWORD:
+        if token.kind is _KEYWORD:
             return token.value in _TYPE_KEYWORDS or token.value in _QUALIFIERS or token.value in ("struct", "union", "enum")
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _IDENT:
             return token.value in self.typedef_names or token.value in self.struct_names
         return False
 
     def _looks_like_declaration(self) -> bool:
         """Heuristic for statement-level IDENT-led declarations."""
-        if not self._peek().kind is TokenKind.IDENT:
+        if not self._peek().kind is _IDENT:
             return False
         if self._peek().value in self.typedef_names:
             return True
         # IDENT IDENT ... ('=' | ';' | ',' | '[')
-        if self._peek(1).kind is TokenKind.IDENT:
+        if self._peek(1).kind is _IDENT:
             follow = self._peek(2)
             return follow.is_punct("=") or follow.is_punct(";") or follow.is_punct(",") or follow.is_punct("[")
         # IDENT '*'+ IDENT ('=' | ';' | ',')
         offset = 1
         while self._peek(offset).is_punct("*"):
             offset += 1
-        if offset > 1 and self._peek(offset).kind is TokenKind.IDENT:
+        if offset > 1 and self._peek(offset).kind is _IDENT:
             follow = self._peek(offset + 1)
             return follow.is_punct("=") or follow.is_punct(";") or follow.is_punct(",")
         return False
 
     def _parse_type(self) -> ast.Type:
         quals: list[str] = []
-        while self._peek().kind is TokenKind.KEYWORD and self._peek().value in _QUALIFIERS:
+        while self._peek().kind is _KEYWORD and self._peek().value in _QUALIFIERS:
             quals.append(self._advance().value)
         token = self._peek()
         base: ast.Type
         if token.is_keyword("struct") or token.is_keyword("union"):
             self._advance()
             name_token = self._advance()
-            if name_token.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
+            if name_token.kind not in (_IDENT, _KEYWORD):
                 raise self._error("expected struct name")
             self.struct_names.add(name_token.value)
             base = ast.StructType(name_token.value)
         elif token.is_keyword("enum"):
             self._advance()
-            if self._peek().kind is TokenKind.IDENT:
+            if self._peek().kind is _IDENT:
                 self._advance()
             base = ast.NamedType("int")
-        elif token.kind is TokenKind.KEYWORD and token.value in _TYPE_KEYWORDS:
+        elif token.kind is _KEYWORD and token.value in _TYPE_KEYWORDS:
             words = [self._advance().value]
-            while self._peek().kind is TokenKind.KEYWORD and self._peek().value in _TYPE_KEYWORDS:
+            while self._peek().kind is _KEYWORD and self._peek().value in _TYPE_KEYWORDS:
                 words.append(self._advance().value)
             base = ast.NamedType(" ".join(words))
-        elif token.kind is TokenKind.IDENT:
+        elif token.kind is _IDENT:
             self._advance()
             base = ast.NamedType(token.value)
         else:
@@ -169,14 +212,14 @@ class Parser:
         attrs: list[str] = []
         while True:
             token = self._peek()
-            if token.kind is TokenKind.IDENT and token.value in ("__attribute__", "__attribute"):
+            if token.kind is _IDENT and token.value in ("__attribute__", "__attribute"):
                 self._advance()
                 self._expect_punct("(")
                 self._expect_punct("(")
                 depth = 0
                 while True:
                     inner = self._advance()
-                    if inner.kind is TokenKind.EOF:
+                    if inner.kind is _EOF:
                         raise self._error("unterminated __attribute__")
                     if inner.is_punct("("):
                         depth += 1
@@ -184,7 +227,7 @@ class Parser:
                         if depth == 0:
                             break
                         depth -= 1
-                    elif inner.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+                    elif inner.kind in (_IDENT, _KEYWORD):
                         attrs.append(inner.value.strip("_"))
                 self._expect_punct(")")
             elif token.is_punct("[") and self._peek(1).is_punct("["):
@@ -192,9 +235,9 @@ class Parser:
                 self._advance()
                 while not self._check_punct("]"):
                     inner = self._advance()
-                    if inner.kind is TokenKind.EOF:
+                    if inner.kind is _EOF:
                         raise self._error("unterminated [[attribute]]")
-                    if inner.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+                    if inner.kind in (_IDENT, _KEYWORD):
                         attrs.append(inner.value)
                 self._expect_punct("]")
                 self._expect_punct("]")
@@ -209,7 +252,7 @@ class Parser:
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_conditional()
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.value in _ASSIGN_OPS:
+        if token.kind is _PUNCT and token.value in _ASSIGN_OPS:
             op = self._advance().value
             value = self._parse_assignment()
             return ast.Assign(line=token.line, op=op, target=left, value=value)
@@ -229,7 +272,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             token = self._peek()
-            precedence = _BINARY_PRECEDENCE.get(token.value) if token.kind is TokenKind.PUNCT else None
+            precedence = _BINARY_PRECEDENCE.get(token.value) if token.kind is _PUNCT else None
             if precedence is None or precedence < min_precedence:
                 return left
             self._advance()
@@ -246,7 +289,7 @@ class Parser:
         depth = 0
         while True:
             token = self._peek(offset)
-            if token.kind is TokenKind.EOF:
+            if token.kind is _EOF:
                 return False
             if token.is_punct("("):
                 depth += 1
@@ -259,19 +302,19 @@ class Parser:
             offset += 1
         after = self._peek(offset + 1)
         # A cast is followed by an operand, never by an operator/terminator.
-        if after.kind in (TokenKind.IDENT, TokenKind.INT, TokenKind.CHAR, TokenKind.STRING):
+        if after.kind in (_IDENT, _INT, _CHAR, _STRING):
             return True
-        if after.kind is TokenKind.KEYWORD and after.value in ("sizeof", "NULL"):
+        if after.kind is _KEYWORD and after.value in ("sizeof", "NULL"):
             return True
         return after.is_punct("(") or after.is_punct("*") or after.is_punct("&") or after.is_punct("-") or after.is_punct("!") or after.is_punct("~")
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.value in ("!", "~", "-", "+", "*", "&"):
+        if token.kind is _PUNCT and token.value in ("!", "~", "-", "+", "*", "&"):
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(line=token.line, op=token.value, operand=operand)
-        if token.kind is TokenKind.PUNCT and token.value in ("++", "--"):
+        if token.kind is _PUNCT and token.value in ("++", "--"):
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(line=token.line, op=token.value, operand=operand)
@@ -326,27 +369,22 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.INT:
+        if token.kind is _INT:
             self._advance()
-            text = token.value
-            try:
-                value = int(text.rstrip("uUlLfF") or "0", 0)
-            except ValueError:
-                value = int(float(text.rstrip("uUlLfF")))
-            return ast.IntLiteral(line=token.line, value=value, text=text)
-        if token.kind is TokenKind.CHAR:
+            return ast.IntLiteral(line=token.line, value=self._number_value(token), text=token.value)
+        if token.kind is _CHAR:
             self._advance()
             return ast.CharLiteral(line=token.line, value=token.value)
-        if token.kind is TokenKind.STRING:
+        if token.kind is _STRING:
             self._advance()
             parts = [token.value]
-            while self._peek().kind is TokenKind.STRING:  # adjacent literal concat
+            while self._peek().kind is _STRING:  # adjacent literal concat
                 parts.append(self._advance().value)
             return ast.StringLiteral(line=token.line, value="".join(parts))
         if token.is_keyword("NULL"):
             self._advance()
             return ast.IntLiteral(line=token.line, value=0, text="NULL")
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _IDENT:
             self._advance()
             return ast.Identifier(line=token.line, name=token.value)
         if token.is_punct("("):
@@ -365,13 +403,13 @@ class Parser:
             while self._accept_punct("*"):
                 decl_type = ast.PointerType(decl_type)
             name_token = self._advance()
-            if name_token.kind is not TokenKind.IDENT:
+            if name_token.kind is not _IDENT:
                 raise self._error(f"expected declarator name, found {name_token.value!r}")
             while self._check_punct("[") and not self._peek(1).is_punct("["):
                 self._advance()
                 length: int | None = None
-                if self._peek().kind is TokenKind.INT:
-                    length = int(self._advance().value.rstrip("uUlL"), 0)
+                if self._peek().kind is _INT:
+                    length = self._number_value(self._advance())
                 self._expect_punct("]")
                 decl_type = ast.ArrayType(decl_type, length)
             attrs = self._parse_attrs()
@@ -465,7 +503,7 @@ class Parser:
         if token.is_punct(";"):
             self._advance()
             return ast.ExprStmt(line=token.line, expr=None)
-        if token.kind is TokenKind.IDENT and self._peek(1).is_punct(":") and not self._peek(2).is_punct(":"):
+        if token.kind is _IDENT and self._peek(1).is_punct(":") and not self._peek(2).is_punct(":"):
             self._advance()
             self._advance()
             inner = self.parse_statement() if not self._check_punct("}") else None
@@ -475,7 +513,7 @@ class Parser:
             # declarations always have an identifier declarator before ; or =.
             saved = self.pos
             try:
-                if self._peek().kind is TokenKind.IDENT and self._peek().value not in self.typedef_names:
+                if self._peek().kind is _IDENT and self._peek().value not in self.typedef_names:
                     self.typedef_names.add(self._peek().value)  # heuristic type
                 base_type = self._parse_type()
                 declarators = self._parse_declarators(base_type)
@@ -496,7 +534,7 @@ class Parser:
         cases: list[ast.SwitchCase] = []
         current: ast.SwitchCase | None = None
         while not self._check_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
+            if self._peek().kind is _EOF:
                 raise self._error("unterminated switch")
             if self._check_keyword("case"):
                 case_token = self._advance()
@@ -520,7 +558,7 @@ class Parser:
         open_token = self._expect_punct("{")
         statements: list[ast.Stmt] = []
         while not self._check_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
+            if self._peek().kind is _EOF:
                 raise self._error("unterminated block")
             statements.append(self.parse_statement())
         self._expect_punct("}")
@@ -569,7 +607,7 @@ class Parser:
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit(filename=self.filename)
-        while self._peek().kind is not TokenKind.EOF:
+        while self._peek().kind is not _EOF:
             token = self._peek()
             if token.is_keyword("typedef"):
                 unit.typedefs.append(self._parse_typedef())
@@ -578,11 +616,11 @@ class Parser:
                 unit.structs.append(self._parse_struct_def())
                 continue
             storage: list[str] = []
-            while self._peek().kind is TokenKind.KEYWORD and self._peek().value in ("static", "extern", "inline"):
+            while self._peek().kind is _KEYWORD and self._peek().value in ("static", "extern", "inline"):
                 storage.append(self._advance().value)
             decl_type = self._parse_type()
             name_token = self._advance()
-            if name_token.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
+            if name_token.kind not in (_IDENT, _KEYWORD):
                 raise self._error(f"expected a name at top level, found {name_token.value!r}")
             if self._check_punct("("):
                 unit.functions.append(self._parse_function_rest(decl_type, name_token, tuple(storage)))
@@ -618,13 +656,13 @@ class Parser:
                     param_type = self._parse_type()
                     param_name = ""
                     param_line = self._peek().line
-                    if self._peek().kind is TokenKind.IDENT:
+                    if self._peek().kind is _IDENT:
                         param_token = self._advance()
                         param_name = param_token.value
                         param_line = param_token.line
                     while self._check_punct("[") and not self._peek(1).is_punct("["):
                         self._advance()
-                        if self._peek().kind is TokenKind.INT:
+                        if self._peek().kind is _INT:
                             self._advance()
                         self._expect_punct("]")
                         param_type = ast.PointerType(param_type)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ParseError
 from repro.frontend import ast
-from repro.frontend.parser import parse_source
+from repro.frontend.lexer import TokenKind, tokenize
+from repro.frontend.parser import Parser, parse_source
 
 
 def parse(text, config=None):
@@ -307,6 +308,62 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("int f(void) {\n  a = ;\n}")
         assert excinfo.value.line == 2
+
+
+class TestTokenCursor:
+    def test_lookahead_past_the_end_reads_eof(self):
+        parser = Parser(tokenize("x ;"))
+        assert parser._peek(10).kind is TokenKind.EOF
+        for _ in range(5):  # advancing stops at EOF
+            parser._advance()
+        assert parser._peek().kind is TokenKind.EOF
+        assert parser._peek(1).kind is TokenKind.EOF
+
+
+class TestNumberLiterals:
+    """Literal decoding: C radixes and suffixes, malformed text as ParseError."""
+
+    def global_init(self, literal):
+        (var,) = parse(f"int x = {literal};").globals
+        return var.init.value
+
+    def test_hex_with_hex_digit_f(self):
+        assert self.global_init("0xFF") == 255
+
+    def test_hex_keeps_trailing_hex_digits(self):
+        assert self.global_init("0xdeadbeef") == 0xDEADBEEF
+
+    def test_leading_zero_is_octal(self):
+        assert self.global_init("010") == 8
+
+    def test_zero(self):
+        assert self.global_init("0") == 0
+
+    def test_integer_suffixes_are_dropped(self):
+        assert [self.global_init(text) for text in ("10UL", "7ull", "0x1FLLU", "017u")] == [10, 7, 31, 15]
+
+    def test_decimal_float_truncates(self):
+        assert [self.global_init(text) for text in ("3.75", "2.5f", "1.")] == [3, 2, 1]
+
+    def test_octal_array_length(self):
+        (var,) = parse("int a[010];").globals
+        assert var.type.length == 8
+
+    def test_hex_array_length(self):
+        (decl,) = body_stmts("void f(void) { char buf[0x1F]; }")
+        assert decl.declarators[0].type.length == 31
+
+    @pytest.mark.parametrize("literal", ["0x", "09", "10uu", "10f", "1.5u"])
+    def test_malformed_literal_raises_with_location(self, literal):
+        with pytest.raises(ParseError) as excinfo:
+            parse(f"int f(void)\n{{\n    return  {literal};\n}}")
+        assert (excinfo.value.line, excinfo.value.column) == (3, 13)
+        assert f"malformed number {literal!r}" in str(excinfo.value)
+
+    def test_malformed_array_length_raises(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse("int a[0x];")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 7)
 
 
 class TestPaperExamples:

@@ -2,8 +2,8 @@
 """Perf trajectory runner: one command, one normalized BENCH_<n>.json.
 
 Runs (1) the pytest-benchmark engine suite with ``--benchmark-json`` and
-(2) direct stage timings — detection, authorship, full pipeline per
-executor, warm-cache replay, and table7 full-vs-incremental seconds —
+(2) direct stage timings — detection, authorship, the full pipeline,
+warm-cache replay, and table7 full-vs-incremental seconds —
 then writes everything into a single ``BENCH_<n>.json`` at the repo root
 so future PRs can regress-check performance against the trajectory::
 
@@ -35,8 +35,6 @@ from repro.eval import table7  # noqa: E402
 from repro.eval.suite import EvalSuite  # noqa: E402
 from repro.obs import METRICS_SCHEMA_VERSION, summarize_snapshot  # noqa: E402
 from repro.obs.clock import monotonic  # noqa: E402
-
-EXECUTORS = ("serial", "thread", "process")
 
 # BENCH_<n>.json payload schema: bump together with the validator in
 # benchmarks/check_bench_schema.py.  v3 adds the ``stages.service``
@@ -126,15 +124,15 @@ def _run_pytest_benchmarks(scale: float, seed: int) -> list[dict]:
     return rows
 
 
-def _stage_timings(scale: float, seed: int, workers: int) -> dict:
-    """Direct timings of the pipeline stages and executor variants."""
+def _stage_timings(scale: float, seed: int) -> dict:
+    """Direct timings of the pipeline stages."""
     from repro.corpus import generate_app
 
     app = generate_app("nfs-ganesha", scale=scale, seed=seed)
 
-    # Detection (engine, serial, no cache) and authorship on one project.
+    # Detection (engine, no cache) and authorship on one project.
     project = app.project()
-    engine = AnalysisEngine(executor="serial", cache=None)
+    engine = AnalysisEngine(cache=None)
     started = monotonic()
     run = engine.run(project)
     detection_seconds = monotonic() - started
@@ -142,71 +140,60 @@ def _stage_timings(scale: float, seed: int, workers: int) -> dict:
     project.resolver(None).resolve_all(run.candidates)
     authorship_seconds = monotonic() - started
 
-    executors = {}
-    reports = {}
-    for kind in EXECUTORS:
-        config = ValueCheckConfig(executor=kind, workers=workers, module_cache=False)
-        # Per-kind telemetry wrapping project construction too, so the
-        # exported stage wall-times include parse/lower, not just analyze.
-        telemetry = obs.Telemetry.fresh()
-        with obs.use(telemetry):
-            fresh = app.project()
-            started = monotonic()
-            reports[kind] = ValueCheck(config).analyze(fresh, telemetry=telemetry)
-            executors[kind] = monotonic() - started
+    # Full pipeline, cache off.  The telemetry wraps project construction
+    # too, so the exported stage wall-times include parse/lower, not just
+    # analyze.
+    telemetry = obs.Telemetry.fresh()
+    with obs.use(telemetry):
+        fresh = app.project()
+        started = monotonic()
+        report = ValueCheck(ValueCheckConfig(module_cache=False)).analyze(
+            fresh, telemetry=telemetry
+        )
+        full_pipeline_seconds = monotonic() - started
 
     # Warm-cache replay: second run over identical content (projects are
     # parsed outside the timed window; we time the engine pass alone).
     cache = ResultCache()
-    cached_engine = AnalysisEngine(executor="serial", cache=cache)
+    cached_engine = AnalysisEngine(cache=cache)
     cached_engine.run(app.project())
     replay_project = app.project()
     started = monotonic()
     warm = cached_engine.run(replay_project)
     warm_seconds = monotonic() - started
 
-    non_converged = list(run.stats.non_converged)
-    for kind, report in reports.items():
-        if not report.converged:
-            non_converged.extend(
-                path for path in report.engine_stats.non_converged
-                if path not in non_converged
-            )
+    non_converged = sorted(
+        set(run.stats.non_converged) | set(report.engine_stats.non_converged)
+    )
     if non_converged:
         # Unconverged points-to results under-approximate: the timings
         # (and candidate counts) of this run are not comparable with a
         # converged trajectory, so refuse to emit a BENCH file.
         raise SystemExit(
             f"[run_bench] FATAL: Andersen solver did not converge on "
-            f"{len(non_converged)} module(s): {', '.join(sorted(non_converged)[:10])}"
+            f"{len(non_converged)} module(s): {', '.join(non_converged[:10])}"
         )
 
-    # Observability payload: stage wall-times from the serial run's span
+    # Observability payload: stage wall-times from the full run's span
     # trace plus its full metrics snapshot (histograms summarised).
-    serial_report = reports["serial"]
     observability = {
-        "stages_seconds": serial_report.stage_seconds(),
-        "prune_kills": dict(serial_report.prune_stats),
-        "counts": serial_report.counts(),
-        "metrics": summarize_snapshot(serial_report.metrics),
+        "stages_seconds": report.stage_seconds(),
+        "prune_kills": dict(report.prune_stats),
+        "counts": report.counts(),
+        "metrics": summarize_snapshot(report.metrics),
     }
 
     # Decision-count trajectory: how many candidates each stage saw and
     # what each pruner killed — drift here without an ANALYSIS_VERSION
     # bump is what check_bench_trajectory.py flags.
-    provenance = (
-        serial_report.provenance.aggregates()
-        if serial_report.provenance is not None
-        else {}
-    )
+    provenance = report.provenance.aggregates() if report.provenance is not None else {}
 
-    serial = executors["serial"]
     return {
         "detection_seconds": detection_seconds,
         "authorship_seconds": authorship_seconds,
-        "executors_full_pipeline_seconds": executors,
-        "speedup_thread": serial / executors["thread"] if executors["thread"] else None,
-        "speedup_process": serial / executors["process"] if executors["process"] else None,
+        # Keyed by engine ("serial", the only one) so the field keeps
+        # the shape the BENCH trajectory reads.
+        "executors_full_pipeline_seconds": {"serial": full_pipeline_seconds},
         "cache": {
             "cold_seconds": detection_seconds,
             "warm_seconds": warm_seconds,
@@ -696,7 +683,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", type=float, default=float(os.environ.get("REPRO_SCALE", 0.1)))
     parser.add_argument("--seed", type=int, default=int(os.environ.get("REPRO_SEED", 7)))
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--replay-commits", type=int, default=10)
     parser.add_argument("--index", type=int, default=None, help="n in BENCH_<n>.json")
     parser.add_argument("--out", default=None, help="explicit output path")
@@ -710,7 +696,7 @@ def main(argv: list[str] | None = None) -> int:
     index = args.index if args.index is not None else _next_index()
     out_path = Path(args.out) if args.out else ROOT / f"BENCH_{index}.json"
 
-    print(f"[run_bench] scale={args.scale} seed={args.seed} workers={args.workers}")
+    print(f"[run_bench] scale={args.scale} seed={args.seed}")
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
         "metrics_schema": METRICS_SCHEMA_VERSION,
@@ -718,9 +704,8 @@ def main(argv: list[str] | None = None) -> int:
         "bench_index": index,
         "scale": args.scale,
         "seed": args.seed,
-        "workers": args.workers,
         "host": {"cpus": os.cpu_count(), "python": sys.version.split()[0]},
-        "stages": _stage_timings(args.scale, args.seed, args.workers),
+        "stages": _stage_timings(args.scale, args.seed),
         "table7": _table7_timings(args.scale, args.seed, args.replay_commits),
     }
     payload["stages"]["service"] = _service_timings(args.scale, args.seed)
@@ -746,8 +731,8 @@ def main(argv: list[str] | None = None) -> int:
     stages = payload["stages"]
     print(f"[run_bench] detection {stages['detection_seconds']:.2f}s, "
           f"authorship {stages['authorship_seconds']:.2f}s")
-    for kind, seconds in stages["executors_full_pipeline_seconds"].items():
-        print(f"[run_bench] {kind:<8} full pipeline {seconds:.2f}s")
+    print(f"[run_bench] full pipeline "
+          f"{stages['executors_full_pipeline_seconds']['serial']:.2f}s")
     cache = stages["cache"]
     print(f"[run_bench] warm cache replay {cache['warm_seconds']:.3f}s "
           f"({cache['hits']} hits / {cache['misses']} misses)")

@@ -1,13 +1,9 @@
-"""Benchmark E8 — the analysis engine: executor fan-out and module cache.
+"""Benchmark E8 — the analysis engine: cold pipeline and module cache.
 
-Measures the same full pipeline under each executor (cache disabled so
-every module really runs) and the warm-cache path (everything hits).
-Each round gets a freshly-parsed project so per-project caches (VFGs,
-contributions, resolvers) cannot leak timing between rounds.
-
-Absolute speedups are hardware-dependent: thread/process fan-out only
-wins on multicore hosts (the process pool adds fork + pickle overhead on
-a single core).  ``run_bench.py`` records whatever the host delivers.
+Measures the full pipeline with the module cache disabled (every module
+really runs) and the warm-cache path (everything hits).  Each round gets
+a freshly-parsed project so per-project caches (VFGs, contributions,
+resolvers) cannot leak timing between rounds.
 """
 
 import pytest
@@ -19,7 +15,6 @@ from repro.corpus import generate_app
 from repro.engine import AnalysisEngine, ResultCache
 
 ENGINE_BENCH_SCALE = 0.1
-ENGINE_WORKERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +22,11 @@ def engine_app():
     return generate_app("nfs-ganesha", scale=ENGINE_BENCH_SCALE, seed=BENCH_SEED)
 
 
-def _bench_executor(benchmark, app, executor: str):
-    config = ValueCheckConfig(executor=executor, workers=ENGINE_WORKERS, module_cache=False)
+def test_engine_serial_speed(benchmark, engine_app):
+    config = ValueCheckConfig(module_cache=False)
 
     def setup():
-        return (app.project(),), {}
+        return (engine_app.project(),), {}
 
     report = benchmark.pedantic(
         lambda project: ValueCheck(config).analyze(project),
@@ -39,20 +34,7 @@ def _bench_executor(benchmark, app, executor: str):
         rounds=3,
         iterations=1,
     )
-    assert report.engine_stats.executor == executor
     assert report.engine_stats.cache_hits == 0
-
-
-def test_engine_serial_speed(benchmark, engine_app):
-    _bench_executor(benchmark, engine_app, "serial")
-
-
-def test_engine_thread_speed(benchmark, engine_app):
-    _bench_executor(benchmark, engine_app, "thread")
-
-
-def test_engine_process_speed(benchmark, engine_app):
-    _bench_executor(benchmark, engine_app, "process")
 
 
 def test_module_cache_warm_speed(benchmark, engine_app):

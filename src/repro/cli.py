@@ -137,8 +137,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
             config = ValueCheckConfig(
                 use_authorship=repo is not None,
-                executor=args.executor,
-                workers=args.workers,
                 module_cache=not args.no_module_cache,
                 rules=rules,
             )
@@ -490,7 +488,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     config = ValueCheckConfig(
         use_authorship=repo is not None,
-        executor=args.executor,
         module_cache=False,  # cached runs sample nothing; profile real work
     )
     with obs.use(telemetry), profiler:
@@ -761,7 +758,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         max_sessions=args.max_sessions,
         max_session_loc=args.max_session_loc,
-        executor=args.executor,
         journal_path=args.journal,
         slos=slos,
         profiler=not args.no_profiler,
@@ -808,7 +804,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         max_sessions=args.max_sessions,
         max_session_loc=args.max_session_loc,
-        executor=args.executor,
     )
     config = RouterConfig(
         workers=args.workers,
@@ -914,25 +909,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-json",
         metavar="PATH",
         help="write the provenance records as JSONL (one candidate per line, "
-        "byte-identical across executors)",
+        "byte-identical across cache states)",
     )
     analyze.add_argument(
         "--baseline",
         help="an earlier report CSV; only findings not present in it are shown",
     )
     analyze.add_argument("--top", type=int, default=20, help="findings to print")
-    analyze.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="how per-module analysis is scheduled (default: serial)",
-    )
-    analyze.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for thread/process executors (default: all cores)",
-    )
     analyze.add_argument(
         "--no-module-cache",
         action="store_true",
@@ -988,12 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.005,
         help="sampling interval in seconds (default: 0.005)",
-    )
-    profile.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="how per-module analysis is scheduled (default: serial)",
     )
     profile.add_argument("--out", help="write flamegraph folded stacks to this file")
     profile.set_defaults(func=_cmd_profile)
@@ -1132,12 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximate memory cap: total warm LOC before LRU eviction",
     )
     serve.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="engine executor used inside each request",
-    )
-    serve.add_argument(
         "--stats-out",
         help="append the service's lifetime metrics record to a JSONL file on exit",
     )
@@ -1194,12 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-sessions", type=int, default=8, help="LRU warm-project cap per worker"
     )
     route.add_argument("--max-session-loc", type=int, default=None)
-    route.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="engine executor inside each worker",
-    )
     route.add_argument(
         "--vnodes", type=int, default=64, help="virtual nodes per ring slot"
     )

@@ -132,8 +132,6 @@ class IncrementalAnalyzer:
         # the engine so replaying a commit that reverts a file — or
         # re-replaying a commit — hits the content-addressed cache.
         self.engine = AnalysisEngine(
-            executor=self.config.executor,
-            workers=self.config.workers,
             cache=DEFAULT_CACHE if self.config.module_cache else None,
             rules=self.config.rules,
         )

@@ -82,9 +82,8 @@ class ProjectIndex:
 class ModuleContribution:
     """One module's slice of the project index.
 
-    Built per module (and in parallel by the analysis engine — instances
-    must stay picklable), then merged deterministically by
-    :meth:`Project._build_index`.
+    Built per module (and cached per module by the analysis engine), then
+    merged deterministically by :meth:`Project._build_index`.
     """
 
     functions: dict[str, FunctionLocation] = field(default_factory=dict)
@@ -105,8 +104,7 @@ def _call_result_used(function: Function, call: Call, use_map) -> bool:
 
 def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> ModuleContribution:
     """Compute one module's index contribution (pure function of the
-    module + its value-flow graph, so engine workers can run it off the
-    main process)."""
+    module + its value-flow graph, so the engine can cache it per module)."""
     contribution = ModuleContribution()
     for function in module.functions.values():
         ast_fn = module.unit.function(function.name) if module.unit else None

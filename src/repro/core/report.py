@@ -30,8 +30,8 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
     prune_stats: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
-    # How the engine produced the per-module results: executor, worker
-    # count, and cache hit/miss counters (None for hand-built reports).
+    # How the engine produced the per-module results: module count and
+    # cache hit/miss counters (None for hand-built reports).
     # Legacy view — the full accounting lives in ``metrics``.
     engine_stats: "EngineStats | None" = None
     # Per-run metrics snapshot (repro.obs schema) and the span tracer the
@@ -97,7 +97,7 @@ class Report:
 
     def explain_jsonl(self) -> str:
         """Machine-readable provenance: one JSON record per line, sorted
-        by candidate key — byte-identical across executors."""
+        by candidate key — byte-identical across cache states."""
         if self.provenance is None:
             return ""
         return self.provenance.to_jsonl()
@@ -132,7 +132,6 @@ class Report:
             "stages": self.stage_seconds(),
         }
         if self.engine_stats is not None:
-            record["executor"] = self.engine_stats.executor
             record["engine"] = self.engine_stats.as_dict()
         if self.metrics is not None:
             record["metrics"] = summarize_snapshot(self.metrics)
@@ -234,8 +233,7 @@ class Report:
         if self.engine_stats is not None:
             stats = self.engine_stats
             lines.append(
-                f"engine:        {stats.executor} x{stats.workers} "
-                f"({stats.cache_hits} cached, {stats.analyzed} analyzed)"
+                f"engine:        {stats.cache_hits} cached, {stats.analyzed} analyzed"
             )
             if stats.non_converged:
                 lines.append(

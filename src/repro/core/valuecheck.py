@@ -30,10 +30,9 @@ class ValueCheckConfig:
     ``use_familiarity=False`` keeps detection order instead of DOK ranking;
     ``dok_weights`` supports the per-factor ablations.
 
-    ``executor``/``workers`` select how per-module analysis is scheduled
-    (``serial`` | ``thread`` | ``process``); ``module_cache`` toggles the
-    content-addressed result cache.  Findings are bit-identical across
-    executors — the engine merges deterministically.
+    ``module_cache`` toggles the content-addressed result cache.  Findings
+    are bit-identical with or without it — the engine merges
+    deterministically.
     """
 
     use_authorship: bool = True
@@ -48,9 +47,7 @@ class ValueCheckConfig:
     # familiarity model of §9.2.
     history_pruning: bool = False
     familiarity_model: str = "dok"  # 'dok' | 'ea'
-    # Engine selection (parallel scheduling + content-addressed caching).
-    executor: str = "serial"  # 'serial' | 'thread' | 'process'
-    workers: int | None = None  # None → os.cpu_count()
+    # Engine content-addressed module caching.
     module_cache: bool = True
     # Enabled rule packs (see repro.rules); None = every registered pack.
     rules: tuple[str, ...] | None = None
@@ -114,8 +111,6 @@ class ValueCheck:
 
     def _engine(self) -> AnalysisEngine:
         return AnalysisEngine(
-            executor=self.config.executor,
-            workers=self.config.workers,
             cache=DEFAULT_CACHE if self.config.module_cache else None,
             rules=self.config.rules,
         )

@@ -1,13 +1,11 @@
-"""Parallel, cache-aware analysis engine.
+"""Cache-aware analysis engine.
 
 Layers (see docs/PERFORMANCE.md):
 
-* :mod:`repro.engine.executors` — pluggable ``serial``/``thread``/``process``
-  fan-out with order-preserving ``map``;
 * :mod:`repro.engine.cache` — content-addressed module result cache;
 * :mod:`repro.engine.scheduler` — the :class:`AnalysisEngine` that probes
-  the cache, schedules misses, and merges deterministically;
-* :mod:`repro.engine.worker` — the picklable per-module unit of work.
+  the cache, analyses the misses, and merges deterministically;
+* :mod:`repro.engine.worker` — the per-module unit of work.
 """
 
 from repro.engine.cache import (
@@ -17,16 +15,8 @@ from repro.engine.cache import (
     ResultCache,
     module_key,
 )
-from repro.engine.executors import (
-    EXECUTOR_KINDS,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_workers,
-    make_executor,
-)
 from repro.engine.scheduler import AnalysisEngine, EngineRun, EngineStats
-from repro.engine.worker import ModuleJob, ModuleResult, analyze_job, analyze_lowered
+from repro.engine.worker import ModuleResult, analyze_lowered
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -35,16 +25,8 @@ __all__ = [
     "DEFAULT_CACHE",
     "EngineRun",
     "EngineStats",
-    "EXECUTOR_KINDS",
-    "ModuleJob",
     "ModuleResult",
-    "ProcessExecutor",
     "ResultCache",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "analyze_job",
     "analyze_lowered",
-    "default_workers",
-    "make_executor",
     "module_key",
 ]

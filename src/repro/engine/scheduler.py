@@ -1,4 +1,4 @@
-"""The analysis engine: cache-aware, parallel per-module scheduling.
+"""The analysis engine: cache-aware per-module scheduling.
 
 One :meth:`AnalysisEngine.run` call takes a project and produces every
 per-module analysis artifact — detection candidates, index contributions,
@@ -6,18 +6,17 @@ solver convergence — by:
 
 1. probing the content-addressed :class:`ResultCache` for each module
    (key: path + source text + build config, see :mod:`repro.engine.cache`),
-2. fanning the misses across the configured executor
-   (``serial`` | ``thread`` | ``process``), and
-3. merging results **in sorted path order**, so the output is bit-identical
-   to a sequential run no matter how many workers raced.
+2. analysing the misses in one in-process loop, and
+3. merging results **in sorted path order**, so the output is
+   bit-identical whichever modules came from the cache.
 
 Contributions are installed into the project's per-module cache, which
 means ``project.index`` afterwards assembles without recomputing anything.
 
 Telemetry: ``run`` records into a per-run :class:`MetricsRegistry`
 (supplied by the caller, or fresh) — cache lookup latency histograms,
-hit/miss counters, per-module timing percentiles via the worker
-snapshots, and Andersen iteration/convergence stats.  Worker snapshots
+hit/miss counters, per-module timing percentiles via the module
+snapshots, and Andersen iteration/convergence stats.  Module snapshots
 merge in sorted path order; cache *hits* replay only the deterministic
 slice of their stored snapshot (counts, iterations), never stale
 timings.  :class:`EngineStats` remains as a legacy summary view of the
@@ -32,8 +31,7 @@ from repro import obs
 from repro.core.findings import Candidate
 from repro.core.project import Project
 from repro.engine.cache import DEFAULT_CACHE, ResultCache, module_key
-from repro.engine.executors import make_executor
-from repro.engine.worker import ModuleJob, ModuleResult, analyze_job, analyze_lowered
+from repro.engine.worker import ModuleResult, analyze_lowered
 from repro.obs import MetricsRegistry, deterministic_view
 from repro.obs.clock import monotonic
 
@@ -47,8 +45,6 @@ class EngineStats:
     plus histograms; this dataclass survives for established callers.
     """
 
-    executor: str = "serial"
-    workers: int = 1
     modules: int = 0
     analyzed: int = 0  # cache misses actually computed
     cache_hits: int = 0
@@ -58,8 +54,6 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         return {
-            "executor": self.executor,
-            "workers": self.workers,
             "modules": self.modules,
             "analyzed": self.analyzed,
             "cache_hits": self.cache_hits,
@@ -82,7 +76,7 @@ class EngineRun:
 
 
 class AnalysisEngine:
-    """Schedules per-module analysis over an executor with result reuse.
+    """Schedules per-module analysis with content-addressed result reuse.
 
     ``cache=None`` disables content-addressed reuse (every module is
     recomputed); modules without retained source text are likewise
@@ -91,8 +85,6 @@ class AnalysisEngine:
 
     def __init__(
         self,
-        executor: str = "serial",
-        workers: int | None = None,
         cache: ResultCache | None = DEFAULT_CACHE,
         rules: tuple[str, ...] | None = None,
     ):
@@ -100,7 +92,6 @@ class AnalysisEngine:
         # import reaches back into the engine facade.
         from repro.rules.registry import normalize_rules
 
-        self.executor = make_executor(executor, workers)
         self.cache = cache
         # Normalized through the registry so `None` and an explicit
         # all-packs selection produce identical jobs and cache keys.
@@ -124,7 +115,7 @@ class AnalysisEngine:
         hits = 0
         keys: dict[str, str] = {}
         pending: list[str] = []
-        with obs.span("engine", executor=self.executor.kind, modules=len(paths)):
+        with obs.span("engine", modules=len(paths)):
             for path in paths:
                 module = project.modules[path]
                 text = module.source.raw if module.source is not None else None
@@ -146,21 +137,24 @@ class AnalysisEngine:
                 pending.append(path)
 
             fresh = set(pending)
-            for path, result in zip(pending, self._compute(project, pending)):
+            for path in pending:
+                result = analyze_lowered(
+                    path, project.modules[path], project.vfg(path), rules=self.rules
+                )
                 run.by_path[path] = result
                 if self.cache is not None and path in keys:
                     self.cache.put(keys[path], result)
 
-            # Deterministic merge: sorted path order, regardless of executor.
+            # Deterministic merge: sorted path order, regardless of cache state.
             for path in paths:
                 result = run.by_path[path]
                 run.candidates.extend(result.candidates)
                 project._contribs[path] = result.contribution
                 if provenance is not None:
                     # Cache hits replay the stored slice; fresh results
-                    # ship the one the worker just built.  Either way the
-                    # records are pure content facts, so the merged log is
-                    # identical across executors and cache states.
+                    # ship the one just built.  Either way the records are
+                    # pure content facts, so the merged log is identical
+                    # across cache states.
                     provenance.merge_detections(result.provenance)
                 if result.metrics is not None:
                     # Hits replay only content facts (iteration counts,
@@ -173,12 +167,9 @@ class AnalysisEngine:
         registry.inc("engine.runs")
         registry.inc("engine.modules", len(paths))
         registry.inc("engine.modules_analyzed", len(pending))
-        registry.set_gauge("engine.workers", self.executor.workers)
         seconds = monotonic() - started
         registry.observe("engine.run_seconds", seconds)
         run.stats = EngineStats(
-            executor=self.executor.kind,
-            workers=self.executor.workers,
             modules=len(paths),
             analyzed=len(pending),
             cache_hits=hits,
@@ -190,37 +181,3 @@ class AnalysisEngine:
         )
         return run
 
-    def _compute(self, project: Project, paths: list[str]) -> list[ModuleResult]:
-        if not paths:
-            return []
-        if self.executor.kind == "process":
-            jobs: list[ModuleJob] = []
-            local: list[str] = []
-            for path in paths:
-                module = project.modules[path]
-                if module.source is not None:
-                    jobs.append(
-                        ModuleJob(
-                            path=path,
-                            text=module.source.raw,
-                            build_config=tuple(sorted(project.build_config)),
-                            rules=self.rules,
-                        )
-                    )
-                else:
-                    local.append(path)
-            results = {r.path: r for r in self.executor.map(analyze_job, jobs)}
-            # Source-less modules cannot cross the pickle boundary as text;
-            # analyse them in-process.
-            for path in local:
-                results[path] = analyze_lowered(
-                    path, project.modules[path], project.vfg(path), rules=self.rules
-                )
-            return [results[path] for path in paths]
-
-        def compute(path: str) -> ModuleResult:
-            return analyze_lowered(
-                path, project.modules[path], project.vfg(path), rules=self.rules
-            )
-
-        return self.executor.map(compute, paths)

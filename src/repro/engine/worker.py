@@ -1,20 +1,16 @@
 """Per-module analysis unit of work.
 
-Everything here is a pure function of its arguments so it can run on any
-executor — including a process pool, where the argument tuple and the
-returned :class:`ModuleResult` cross a pickle boundary.  Workers in a
-process pool re-lower the module from source text; lowering is
-deterministic, so the results are identical to analysing the parent's
-module object.
+:func:`analyze_lowered` is a pure function of its arguments: one lowered
+module and its value-flow graph in, one :class:`ModuleResult` out.  The
+scheduler calls it once per cache miss, on the calling thread.
 
-Telemetry: each worker records into a **module-local**
+Telemetry: each call records into a **module-local**
 :class:`~repro.obs.MetricsRegistry` and ships the snapshot back inside
-the :class:`ModuleResult` (a plain dict, so it pickles).  The scheduler
-merges those snapshots in sorted path order, which is what makes the
-merged registry identical across serial/thread/process executors.
-Spans, by contrast, only reach the ambient tracer from in-process
-workers — a process pool cannot share a tracer, so its stage costs
-travel exclusively through the metrics snapshots.
+the :class:`ModuleResult` (a plain dict, so the cache can keep it).  The
+scheduler merges those snapshots in sorted path order; cache hits replay
+only their deterministic slice, so the merged registry's content metrics
+are identical whether a module was computed or replayed.  Spans go to
+the ambient tracer directly.
 """
 
 from __future__ import annotations
@@ -24,21 +20,20 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core.findings import Candidate
 from repro.core.project import ModuleContribution, build_contribution
-from repro.ir.builder import lower_source
 from repro.ir.module import Module
 from repro.obs import MetricsRegistry
-from repro.pointer.value_flow import ValueFlowGraph, build_value_flow
+from repro.pointer.value_flow import ValueFlowGraph
 
 
 @dataclass
 class ModuleResult:
-    """One module's full per-module analysis output (picklable)."""
+    """One module's full per-module analysis output."""
 
     path: str
     candidates: list[Candidate] = field(default_factory=list)
     contribution: ModuleContribution = field(default_factory=ModuleContribution)
     converged: bool = True
-    # Worker-local metrics snapshot (repro.obs schema): stage timings,
+    # Module-local metrics snapshot (repro.obs schema): stage timings,
     # Andersen iteration counts, convergence counters for this module.
     metrics: dict | None = None
     # Deterministic detection-provenance slice: one plain dict per
@@ -48,24 +43,13 @@ class ModuleResult:
     provenance: list[dict] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class ModuleJob:
-    """A picklable work item: enough to rebuild the module anywhere."""
-
-    path: str
-    text: str
-    build_config: tuple[str, ...]
-    # Enabled rule packs (normalized names); None = every registered pack.
-    rules: tuple[str, ...] | None = None
-
-
 def analyze_lowered(
     path: str,
     module: Module,
-    vfg: ValueFlowGraph | None = None,
+    vfg: ValueFlowGraph,
     rules: tuple[str, ...] | None = None,
 ) -> ModuleResult:
-    """Analyse an already-lowered module (serial/thread executors)."""
+    """Analyse an already-lowered module and its value-flow graph."""
     # Imported lazily: repro.rules pulls in repro.core, whose package
     # import reaches back here through the engine facade.
     from repro.rules.registry import resolve_rules
@@ -73,9 +57,6 @@ def analyze_lowered(
     local = MetricsRegistry()
     packs = resolve_rules(rules)
     with local.time("module.analyze_seconds"):
-        if vfg is None:
-            with local.time("module.vfg_seconds"):
-                vfg = build_value_flow(module)
         with local.time("module.detect_seconds"), obs.span("detect", module=path):
             candidates = []
             for pack in packs:
@@ -101,9 +82,3 @@ def analyze_lowered(
         provenance=[obs.detection_record(candidate) for candidate in candidates],
     )
 
-
-def analyze_job(job: ModuleJob) -> ModuleResult:
-    """Analyse from source text (process executors; module-level function
-    so it pickles by reference)."""
-    module = lower_source(job.text, filename=job.path, config=set(job.build_config))
-    return analyze_lowered(job.path, module, rules=job.rules)

@@ -55,7 +55,7 @@ class EvalSuite:
         config: ValueCheckConfig | None = None,
     ) -> "EvalSuite":
         """Generate all corpora and analyse each once.  ``config`` selects
-        the engine executor/caching for the default analyses (repeated
+        the engine caching for the default analyses (repeated
         builds at the same scale/seed hit the content-addressed module
         cache and skip per-module re-analysis entirely)."""
         scale = env_scale() if scale is None else scale

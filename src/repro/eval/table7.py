@@ -53,7 +53,7 @@ def run(
     config: ValueCheckConfig | None = None,
 ) -> Table7Result:
     """Regenerate Table 7.  With ``config`` the full-analysis time is
-    re-measured fresh under that engine configuration (executor/worker
+    re-measured fresh under that engine configuration (timing
     comparisons need ``module_cache=False`` so every module really runs)
     instead of reusing the suite's cached default run."""
     rows = []

@@ -90,57 +90,32 @@ class Telemetry:
         return cls(tracer=Tracer(enabled=trace), metrics=MetricsRegistry())
 
 
-# The ambient telemetry stack.  Pushed/popped on the orchestrating
-# thread; the Tracer/MetricsRegistry themselves are thread-safe, so
-# worker threads may record into whatever was ambient when they started.
-#
-# Two layers: a per-thread stack (the pushing thread's own instrumentation
-# always resolves to *its* telemetry, even while sibling service workers
-# run other requests under their own) and a global stack that threads
-# which never pushed — engine executor workers — fall back to.
-_lock = threading.Lock()
-_stack: list[Telemetry] = []
-_local = threading.local()
+# The ambient telemetry stack, one per thread: a thread's instrumentation
+# resolves to the telemetry *it* pushed, even while sibling service
+# workers run other requests under their own.  A thread that never
+# pushed records nothing.
+class _Ambient(threading.local):
+    def __init__(self):
+        self.stack: list[Telemetry] = []
 
 
-def _local_stack() -> list[Telemetry]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_ambient = _Ambient()
 
 
 def current() -> Telemetry | None:
-    local = getattr(_local, "stack", None)
-    if local:
-        return local[-1]
-    with _lock:
-        return _stack[-1] if _stack else None
+    stack = _ambient.stack
+    return stack[-1] if stack else None
 
 
 @contextmanager
 def use(telemetry: Telemetry) -> Iterator[Telemetry]:
-    """Make ``telemetry`` ambient for the duration of the block."""
-    local = _local_stack()
-    local.append(telemetry)
-    with _lock:
-        _stack.append(telemetry)
+    """Make ``telemetry`` ambient on this thread for the duration of the block."""
+    stack = _ambient.stack
+    stack.append(telemetry)
     try:
         yield telemetry
     finally:
-        # Remove *this* telemetry, not whatever is on top: concurrent
-        # service workers interleave their push/pop pairs, and a blind
-        # pop() would drop a sibling's telemetry instead of ours.
-        for index in range(len(local) - 1, -1, -1):
-            if local[index] is telemetry:
-                del local[index]
-                break
-        with _lock:
-            for index in range(len(_stack) - 1, -1, -1):
-                if _stack[index] is telemetry:
-                    del _stack[index]
-                    break
+        stack.pop()
 
 
 def span(name: str, **attrs):

@@ -1,11 +1,11 @@
 """Metrics registry: counters, gauges and histograms with deterministic merge.
 
 One :class:`MetricsRegistry` collects everything a single pipeline run
-records.  Engine workers (threads *or* processes) each record into their
-own module-local registry, hand back a plain-dict :meth:`snapshot`, and
-the scheduler merges those snapshots **in sorted path order** — so the
-merged registry is identical no matter which executor ran the modules or
-in what order they finished.
+records.  Each per-module analysis records into its own module-local
+registry and hands back a plain-dict :meth:`snapshot`; the scheduler
+merges those snapshots **in sorted path order**, and cache hits replay
+the deterministic slice of theirs — so the merged content metrics are
+identical whichever modules were computed and which were replayed.
 
 Conventions
 -----------
@@ -14,7 +14,7 @@ Conventions
   key is ``name{k=v,...}`` with label keys sorted (Prometheus-style).
 * Timing metrics end in ``_seconds``.  :func:`deterministic_view` strips
   them, leaving exactly the metrics that must be bit-identical across
-  executors (counts, iterations, kill tallies, ...).
+  cache states (counts, iterations, kill tallies, ...).
 * Merge semantics: counters add, histograms concatenate (snapshots sort
   values, so merge order never shows), gauges keep the maximum.
 """
@@ -84,7 +84,7 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
 
 
 def deterministic_view(snapshot: dict) -> dict:
-    """The executor-independent slice of a snapshot: every metric whose
+    """The timing-independent slice of a snapshot: every metric whose
     base name does not end in ``_seconds``."""
 
     def keep(section: Mapping) -> dict:
@@ -191,7 +191,7 @@ class MetricsRegistry:
             }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (from a worker-local registry) into this one."""
+        """Fold a snapshot (from a module-local registry) into this one."""
         with self._lock:
             for key, value in snapshot.get("counters", {}).items():
                 self._counters[key] = self._counters.get(key, 0) + value

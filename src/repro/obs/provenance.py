@@ -17,11 +17,11 @@ story of one candidate through the pipeline:
   the final score) and the candidate's rank position.
 
 Identity rules match the metrics registry: a record is keyed by the
-candidate's stable ``key`` (``file:function:var:line:kind``), worker
+candidate's stable ``key`` (``file:function:var:line:kind``), per-module
 detection slices merge in sorted path order, and serialisation sorts by
-key — so the JSONL export is byte-identical across the serial, thread
-and process executors.  Detection slices are plain dicts stored inside
-``ModuleResult`` so content-cache hits replay them deterministically.
+key — so the JSONL export is byte-identical across cache states.
+Detection slices are plain dicts stored inside ``ModuleResult`` so
+content-cache hits replay them deterministically.
 
 Everything here duck-types over candidates/findings (no repro.core
 imports): obs stays a leaf the core pipeline can depend on.
@@ -115,10 +115,10 @@ class ProvenanceRecord:
 class ProvenanceLog:
     """Thread-safe collection of provenance records for one run.
 
-    Workers never write here directly — they ship detection-slice dicts
-    back inside ``ModuleResult`` and the scheduler folds them in via
-    :meth:`merge_detections` in sorted path order, mirroring how worker
-    metrics snapshots merge.  Resolution, verdicts and ranking are
+    Per-module analysis never writes here directly — it ships
+    detection-slice dicts back inside ``ModuleResult`` and the scheduler
+    folds them in via :meth:`merge_detections` in sorted path order,
+    mirroring how module metrics snapshots merge.  Resolution, verdicts and ranking are
     recorded by the (single-threaded) tail of the pipeline.
     """
 
@@ -204,7 +204,7 @@ class ProvenanceLog:
 
     def to_jsonl(self) -> str:
         """One record per line, keys sorted: byte-identical across
-        executors for the same analysis inputs."""
+        cache states for the same analysis inputs."""
         return "".join(
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
             for record in self.snapshot()

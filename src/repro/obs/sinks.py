@@ -124,7 +124,6 @@ def render_stats_table(records: list[dict]) -> str:
         counts = record.get("counts", {})
         parts.append(
             f"run {index}: project={record.get('project', '?')} "
-            f"executor={record.get('executor', '?')} "
             f"seconds={_fmt_seconds(record.get('seconds'))} "
             f"converged={record.get('converged', True)}"
         )

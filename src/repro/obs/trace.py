@@ -10,10 +10,9 @@ Usage::
     Path("trace.json").write_text(json.dumps(tracer.to_chrome()))
 
 Spans nest per thread (each thread keeps its own open-span stack), so
-worker threads produce their own span roots; the Chrome export carries a
-``tid`` per thread, which is how ``chrome://tracing`` / Perfetto lay the
-tracks out.  Process-pool workers cannot share a tracer — their stage
-costs travel back as metrics instead (see :mod:`repro.engine.worker`).
+concurrent service request threads produce their own span roots; the
+Chrome export carries a ``tid`` per thread, which is how
+``chrome://tracing`` / Perfetto lay the tracks out.
 """
 
 from __future__ import annotations

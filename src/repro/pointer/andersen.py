@@ -139,7 +139,7 @@ class NodeTable:
     Ids are assigned in first-mention order, which the IR walk makes
     deterministic — the same module always produces the same table, so
     bitmask values (and everything derived from them) are reproducible
-    across executors and cache replays.
+    across runs and cache replays.
     """
 
     __slots__ = ("ids", "names")

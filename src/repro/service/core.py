@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import queue as queue_module
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -61,6 +61,12 @@ from repro.service.sessions import SessionManager
 from repro.vcs.repository import Repository
 
 
+# The ``open_project`` options a session accepts: two boolean pipeline
+# flags plus the rule-pack selection (also accepted top-level).
+_SESSION_FLAGS = ("use_authorship", "module_cache")
+_SESSION_OPTIONS = _SESSION_FLAGS + ("rules",)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Daemon knobs: concurrency, backpressure, session caps."""
@@ -72,8 +78,6 @@ class ServiceConfig:
     max_sessions: int = 8
     max_session_loc: int | None = None  # approximate memory cap, in LOC
     retry_after: float = 0.5  # hint sent with queue_full rejections
-    executor: str = "serial"  # engine executor inside each request
-    engine_workers: int | None = None
     # Operational layer (see docs/OBSERVABILITY.md):
     trace_capacity: int = 256  # completed request traces retained
     # Tail-based trace retention: pin slow/errored traces in the ring so
@@ -507,16 +511,28 @@ class AnalysisService:
     # -- handlers --------------------------------------------------------
 
     def _session_config(self, params: dict) -> ValueCheckConfig:
+        """The session's pipeline config from ``open_project`` options.
+
+        Only the keys in ``_SESSION_OPTIONS`` are accepted, the two flags
+        as JSON booleans; anything else is an invalid_params error that
+        names the accepted keys, so a client sending a retired option
+        learns it is gone instead of having it silently ignored."""
         options = params.get("options", {})
         if not isinstance(options, dict):
             raise ProtocolError("invalid_params", "'options' must be an object")
-        return ValueCheckConfig(
-            use_authorship=bool(options.get("use_authorship", True)),
-            executor=options.get("executor", self.config.executor),
-            workers=options.get("workers", self.config.engine_workers),
-            module_cache=bool(options.get("module_cache", True)),
-            rules=self._session_rules(params, options),
-        )
+        accepted = f"accepted options: {', '.join(_SESSION_FLAGS)} (booleans), rules"
+        unknown = sorted(set(options) - set(_SESSION_OPTIONS))
+        if unknown:
+            raise ProtocolError(
+                "invalid_params", f"unknown option(s) {', '.join(unknown)}; {accepted}"
+            )
+        flags = {name: options.get(name, True) for name in _SESSION_FLAGS}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise ProtocolError(
+                    "invalid_params", f"option {name!r} must be a boolean; {accepted}"
+                )
+        return ValueCheckConfig(**flags, rules=self._session_rules(params, options))
 
     @staticmethod
     def _session_rules(params: dict, options: dict) -> tuple[str, ...] | None:
@@ -582,13 +598,7 @@ class AnalysisService:
         build_config = set(params.get("build_config", ()) or ())
         config = self._session_config(params)
         if repo is None:
-            config = ValueCheckConfig(
-                use_authorship=False,
-                executor=config.executor,
-                workers=config.workers,
-                module_cache=config.module_cache,
-                rules=config.rules,
-            )
+            config = replace(config, use_authorship=False)
 
         # The serializable re-open recipe: the wire params that produced
         # this session (already JSON — they arrived on the wire), with

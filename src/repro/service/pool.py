@@ -99,7 +99,6 @@ class WorkerSpec:
     request_timeout: float = 120.0
     max_sessions: int = 8
     max_session_loc: int | None = None
-    executor: str = "serial"
     profiler: bool = False  # per-process sampling profiler (off: N procs sampling is noise)
 
     def argv(self) -> list[str]:
@@ -108,7 +107,6 @@ class WorkerSpec:
             "--queue-capacity", str(self.queue_capacity),
             "--request-timeout", str(self.request_timeout),
             "--max-sessions", str(self.max_sessions),
-            "--executor", self.executor,
         ]
         if self.max_session_loc is not None:
             args += ["--max-session-loc", str(self.max_session_loc)]

@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--request-timeout", type=float, default=120.0)
     parser.add_argument("--max-sessions", type=int, default=8)
     parser.add_argument("--max-session-loc", type=int, default=None)
-    parser.add_argument("--executor", default="serial")
     parser.add_argument("--profiler", action="store_true", default=False)
     return parser
 
@@ -49,7 +48,6 @@ def main(argv: list[str] | None = None) -> int:
         request_timeout=args.request_timeout,
         max_sessions=args.max_sessions,
         max_session_loc=args.max_session_loc,
-        executor=args.executor,
         profiler=args.profiler,
     )
     service = AnalysisService(config).start()

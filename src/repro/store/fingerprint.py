@@ -33,8 +33,8 @@ predecessor, so the store reports it as *persistent* (SARIF
 ``baselineState: updated``) instead of a fixed+new pair.
 
 Fingerprints are computed post-merge from the final finding list plus
-the project sources, so they are deterministic across the serial,
-thread and process executors and across content-cache replays.
+the project sources, so they are deterministic across content-cache
+replays.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def fingerprint_findings(
     Findings whose primary (or location) material collides — the same
     statement shape repeated in one function — get ordinals in source
     order, which pure line shifts preserve.  The computation only sorts
-    and hashes, so the result is identical regardless of which executor
-    (or cache replay) produced the findings.
+    and hashes, so the result is identical whether the findings came from
+    a cold run or a cache replay.
     """
     rows = sorted(
         findings, key=lambda finding: (finding.candidate.line, finding.key)

@@ -9,8 +9,8 @@ Three invariants:
   derived from the same verdict objects, so they are equal even under
   short-circuiting (a candidate prunable by two strategies is claimed
   by the first in pipeline order, and the audit trail stops there);
-* the provenance JSONL export is byte-identical across the serial,
-  thread and process executors.
+* the provenance JSONL export is byte-identical between a cold run and
+  an all-hits cache replay.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind, Finding
 from repro.core.pruning import PeerDefinitionPruner, PruneContext, default_pipeline
-from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.obs import MetricsRegistry, ProvenanceLog
 from repro.obs.sinks import prune_kills
 
@@ -147,7 +146,7 @@ class TestCountersEqualVerdicts:
 
 
 class TestExecutorDeterminism:
-    """The JSONL export is byte-identical across executors."""
+    """The JSONL export is byte-identical across cache states."""
 
     def _sources(self):
         sources = _callers(unused=4, used=2)
@@ -163,20 +162,6 @@ class TestExecutorDeterminism:
         )
         return sources
 
-    def _jsonl(self, executor):
-        project = project_from_sources(self._sources())
-        config = ValueCheckConfig(
-            use_authorship=False, executor=executor, workers=2, module_cache=False
-        )
-        report = ValueCheck(config).analyze(project)
-        return report.explain_jsonl()
-
-    def test_thread_matches_serial_byte_for_byte(self):
-        assert self._jsonl("thread") == self._jsonl("serial")
-
-    def test_process_matches_serial_byte_for_byte(self):
-        assert self._jsonl("process") == self._jsonl("serial")
-
     def test_cache_replay_matches_cold_run(self):
         # Same content analyzed twice through one shared cache: the
         # second (all-hits) run must replay identical detection slices.
@@ -185,7 +170,7 @@ class TestExecutorDeterminism:
         project_a = project_from_sources(self._sources())
         project_b = project_from_sources(self._sources())
         cache = ResultCache()
-        engine = AnalysisEngine(executor="serial", cache=cache)
+        engine = AnalysisEngine(cache=cache)
         cold_log, warm_log = ProvenanceLog(), ProvenanceLog()
         engine.run(project_a, provenance=cold_log)
         run = engine.run(project_b, provenance=warm_log)

@@ -1,5 +1,5 @@
-"""Engine tests: executor equivalence, cache correctness, eviction
-granularity, and incremental-replay cache accounting."""
+"""Engine tests: cache correctness, eviction granularity, and
+incremental-replay cache accounting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.core.incremental import IncrementalAnalyzer
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus.generator import generate_app
-from repro.engine import DEFAULT_CACHE, AnalysisEngine, ResultCache, make_executor
+from repro.engine import DEFAULT_CACHE, AnalysisEngine, ResultCache
 from repro.pointer.andersen import analyze_module
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
@@ -43,32 +43,6 @@ def finding_rows(report):
          f.candidate.var, f.candidate.kind.value, f.pruned_by)
         for f in report.findings
     ]
-
-
-class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_identical_findings_on_corpus_app(self, corpus_app, executor):
-        baseline = ValueCheck(
-            ValueCheckConfig(executor="serial", module_cache=False)
-        ).analyze(corpus_app.project())
-        report = ValueCheck(
-            ValueCheckConfig(executor=executor, workers=4, module_cache=False)
-        ).analyze(corpus_app.project())
-        assert finding_rows(report) == finding_rows(baseline)
-        assert report.engine_stats.executor == executor
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("rayon")
-
-    def test_executors_preserve_input_order(self):
-        for kind in ("serial", "thread", "process"):
-            executor = make_executor(kind, workers=4)
-            assert executor.map(_double, list(range(20))) == [2 * n for n in range(20)]
-
-
-def _double(n: int) -> int:
-    return 2 * n
 
 
 class TestModuleCache:
@@ -234,6 +208,7 @@ class TestConvergence:
         import repro.pointer.andersen as andersen_mod
         from repro.engine.worker import analyze_lowered
         from repro.ir.builder import lower_source
+        from repro.pointer.value_flow import build_value_flow
 
         monkeypatch.setattr(andersen_mod, "ITERATION_LIMIT", 1)
         src = (
@@ -246,7 +221,8 @@ class TestConvergence:
         assert result.iterations == 1
         assert not recwarn.list
 
-        module_result = analyze_lowered("t.c", lower_source(src, filename="t.c"))
+        fresh = lower_source(src, filename="t.c")
+        module_result = analyze_lowered("t.c", fresh, build_value_flow(fresh))
         assert module_result.converged is False
         assert module_result.metrics["counters"]["andersen.non_converged"] == 1
 

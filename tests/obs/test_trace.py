@@ -69,7 +69,7 @@ class TestExports:
     def _traced(self):
         tracer = Tracer()
         with tracer.span("analyze", project="app"):
-            with tracer.span("engine", executor="serial"):
+            with tracer.span("engine", modules=3):
                 pass
         return tracer
 
@@ -118,6 +118,29 @@ class TestAmbientContext:
             assert obs.current() is outer
         assert inner.tracer.span_names() == {"s"}
         assert outer.tracer.span_names() == set()
+
+    def test_thread_that_never_pushed_sees_no_telemetry(self):
+        # Ambient telemetry is per thread: a sibling's push must not leak
+        # into a thread that never entered obs.use.
+        pushed, release = threading.Event(), threading.Event()
+
+        def sibling():
+            with obs.use(Telemetry.fresh()):
+                pushed.set()
+                release.wait(5)
+
+        holder = threading.Thread(target=sibling)
+        holder.start()
+        seen = []
+        try:
+            assert pushed.wait(5)
+            probe = threading.Thread(target=lambda: seen.append(obs.current()))
+            probe.start()
+            probe.join()
+        finally:
+            release.set()
+            holder.join()
+        assert seen == [None]
 
     def test_disabled_ambient_tracer_noops(self):
         telemetry = Telemetry.fresh(trace=False)

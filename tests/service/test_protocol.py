@@ -182,3 +182,53 @@ class TestParamValidation:
         response = service.submit({"id": 2, "type": "analyze", "params": {}})
         assert response["error"]["code"] == "internal"
         assert "kaboom" in response["error"]["message"]
+
+
+class TestOpenProjectOptions:
+    """``options`` accepts only ``use_authorship`` and ``module_cache`` (JSON
+    booleans) plus ``rules``; anything else is invalid_params naming the
+    accepted keys."""
+
+    SOURCES = {"a.c": "int f(void)\n{\n    return 0;\n}\n"}
+
+    def _open(self, service, options):
+        return service.submit(
+            {
+                "id": 1,
+                "type": "open_project",
+                "params": {"sources": self.SOURCES, "options": options},
+            }
+        )
+
+    def _assert_rejected(self, response):
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid_params"
+        message = response["error"]["message"]
+        for key in ("use_authorship", "module_cache", "rules"):
+            assert key in message
+
+    # Retired keys (executor, workers) get the same answer as any unknown
+    # key, so a client still sending them learns they are gone.
+    @pytest.mark.parametrize(
+        "key, value", [("executor", "rayon"), ("workers", 2), ("exec", "serial")]
+    )
+    def test_unknown_key_rejected(self, service, key, value):
+        response = self._open(service, {key: value})
+        self._assert_rejected(response)
+        assert f"option(s) {key};" in response["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["use_authorship", "module_cache"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_flag_rejected(self, service, key, value):
+        response = self._open(service, {key: value})
+        self._assert_rejected(response)
+        assert key in response["error"]["message"]
+
+    def test_accepted_options_open(self, service):
+        options = {
+            "use_authorship": False,
+            "module_cache": False,
+            "rules": ["unused_definitions"],
+        }
+        response = self._open(service, options)
+        assert response["ok"] is True

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.findings import Candidate, CandidateKind, Finding
-from repro.core.valuecheck import ValueCheckConfig
 from repro.store.fingerprint import (
     fingerprint_candidate,
     fingerprint_findings,
@@ -162,21 +161,6 @@ class TestOrdinals:
 
 
 class TestDeterminism:
-    def test_identical_across_executors(self):
-        serial_project, serial_report = analyze(
-            {"t.c": SRC},
-            config=ValueCheckConfig(use_authorship=False, executor="serial"),
-        )
-        thread_project, thread_report = analyze(
-            {"t.c": SRC},
-            config=ValueCheckConfig(use_authorship=False, executor="thread"),
-        )
-        assert fingerprint_findings(
-            reported(serial_report), sources_of(serial_project)
-        ) == fingerprint_findings(
-            reported(thread_report), sources_of(thread_project)
-        )
-
     def test_identical_across_cache_replays(self):
         # Second analyze of identical sources is a content-cache replay.
         first_project, first_report = analyze({"t.c": SRC})

@@ -23,6 +23,7 @@ familiarity against; the DOK ranking consumes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.findings import AuthorshipInfo, Candidate, CandidateKind, Finding
 from repro.core.project import Project, ProjectIndex
@@ -38,6 +39,11 @@ class _LineAuthor:
     day: int
 
 
+class _ReturnAuthors(NamedTuple):
+    names: tuple[str, ...]  # one per blamed return line, in line order
+    name_set: frozenset[str]
+
+
 class CrossScopeResolver:
     """Resolves candidates against blame data for one project revision."""
 
@@ -49,10 +55,15 @@ class CrossScopeResolver:
         # Revision-keyed cache on the project: repeated analyses at the
         # same rev reuse one BlameIndex instead of re-blaming every file.
         self.blame: BlameIndex = project.blame_index(rev)
-        # callee -> blamed return authors; a hot callee (e.g. a logging
+        # callee -> names of its blamed return authors, as a tuple (in
+        # return-line order) and a set; a hot callee (e.g. a logging
         # helper called everywhere) is probed once per candidate without
         # this, and each probe re-blames every return line.
-        self._return_author_cache: dict[str, list[_LineAuthor] | None] = {}
+        self._return_author_cache: dict[str, _ReturnAuthors | None] = {}
+        # candidate -> its resolution.  Resolvers are cached per revision
+        # and dropped whenever the index changes, so a rescan of unchanged
+        # modules (the same cached candidates) resolves by lookup.
+        self._resolved: dict[Candidate, AuthorshipInfo] = {}
 
     # -- blame helpers --------------------------------------------------
 
@@ -62,32 +73,33 @@ class CrossScopeResolver:
             return None
         return _LineAuthor(name=info.author.name, day=info.day)
 
-    def _return_authors(self, callee: str | None) -> list[_LineAuthor] | None:
+    def _return_authors(self, callee: str | None) -> _ReturnAuthors | None:
         """Authors of every return statement of ``callee``; None when the
         callee is external to the project (treated as cross-scope)."""
         if callee is None:
             return None
-        if callee in self._return_author_cache:
-            return self._return_author_cache[callee]
-        authors = self._return_authors_uncached(callee)
-        self._return_author_cache[callee] = authors
-        return authors
+        if callee not in self._return_author_cache:
+            names = self._return_author_names(callee)
+            self._return_author_cache[callee] = (
+                _ReturnAuthors(names, frozenset(names)) if names is not None else None
+            )
+        return self._return_author_cache[callee]
 
-    def _return_authors_uncached(self, callee: str) -> list[_LineAuthor] | None:
+    def _return_author_names(self, callee: str) -> tuple[str, ...] | None:
         location = self.index.location(callee)
         if location is None:
             return None
-        authors = []
-        for line in location.return_lines:
-            author = self._line_author(location.file, line)
-            if author is not None:
-                authors.append(author)
-        if not authors:
+        names = tuple(
+            author.name
+            for line in location.return_lines
+            if (author := self._line_author(location.file, line)) is not None
+        )
+        if not names:
             # Defined but with no return lines blamed (e.g. void callee
             # reached through a stale pointer set) — use the definition line.
             author = self._line_author(location.file, location.line)
-            return [author] if author is not None else None
-        return authors
+            return (author.name,) if author is not None else None
+        return names
 
     # -- per-scenario checks ------------------------------------------------
 
@@ -107,8 +119,8 @@ class CrossScopeResolver:
                 counterparts.append(_EXTERNAL)
                 continue  # library call: different author by definition
             any_internal = True
-            counterparts.extend(author.name for author in return_authors)
-            if any(author.name == site_author.name for author in return_authors):
+            counterparts.extend(return_authors.names)
+            if site_author.name in return_authors.name_set:
                 cross = False
         if not callees and candidate.callee is None:
             # Unresolvable indirect call: conservative, not cross-scope.
@@ -219,8 +231,8 @@ class CrossScopeResolver:
             counterparts: tuple[str, ...] = (_EXTERNAL,)
             cross = True
         else:
-            counterparts = tuple(author.name for author in return_authors)
-            cross = all(author.name != def_author.name for author in return_authors)
+            counterparts = return_authors.names
+            cross = def_author.name not in return_authors.name_set
         if not cross:
             return None
         return AuthorshipInfo(
@@ -237,6 +249,12 @@ class CrossScopeResolver:
     # -- public API ------------------------------------------------------------
 
     def resolve(self, candidate: Candidate) -> AuthorshipInfo:
+        info = self._resolved.get(candidate)
+        if info is None:
+            info = self._resolved[candidate] = self._resolve(candidate)
+        return info
+
+    def _resolve(self, candidate: Candidate) -> AuthorshipInfo:
         if candidate.kind is CandidateKind.IGNORED_RETURN and candidate.store_kind is None:
             return self._check_ignored_return(candidate)
         if candidate.kind.is_param_shape:

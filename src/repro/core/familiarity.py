@@ -50,6 +50,9 @@ class DokModel:
         self.repo = repo
         self.weights = weights or DokWeights()
         self._cache: dict[tuple[str, str, object], dict] = {}
+        # name -> Author, built from the history on first lookup (one
+        # walk of every commit per model, not one per score).
+        self._authors: dict[str, Author] | None = None
 
     def breakdown(
         self, author: Author | str, path: str, until_rev: int | str | None = None
@@ -90,10 +93,10 @@ class DokModel:
         return self.breakdown(author, path, until_rev=until_rev)["score"]
 
     def _author_by_name(self, name: str) -> Author:
-        for author in self.repo.authors():
-            if author.name == name:
-                return author
-        return Author(name=name)
+        if self._authors is None:
+            self._authors = {author.name: author for author in self.repo.authors()}
+        author = self._authors.get(name)
+        return author if author is not None else Author(name=name)
 
 
 # Commit-type weights for the EA model: new functionality implies deeper

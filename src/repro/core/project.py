@@ -62,6 +62,13 @@ class ProjectIndex:
     # (signature, param index) -> usage flags of that parameter across all
     # functions sharing the signature (peer-definition pruning, shape 2).
     param_usage: dict[tuple[tuple[str, ...], int], tuple[bool, ...]] = field(default_factory=dict)
+    # (sites, unused) tallies of the two peer sets above, counted once at
+    # build time: peer-definition pruning decides every candidate from
+    # these two numbers alone.
+    return_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
+    param_counts: dict[tuple[tuple[str, ...], int], tuple[int, int]] = field(
+        default_factory=dict
+    )
 
     def location(self, name: str) -> FunctionLocation | None:
         return self.functions.get(name)
@@ -76,6 +83,14 @@ class ProjectIndex:
 
     def peer_params(self, signature: tuple[str, ...], index: int) -> tuple[bool, ...]:
         return self.param_usage.get((signature, index), ())
+
+    def return_peer_counts(self, callee: str) -> tuple[int, int]:
+        """(sites, unused) over :meth:`return_usage`."""
+        return self.return_counts.get(callee, (0, 0))
+
+    def param_peer_counts(self, signature: tuple[str, ...], index: int) -> tuple[int, int]:
+        """(sites, unused) over :meth:`peer_params`."""
+        return self.param_counts.get((signature, index), (0, 0))
 
 
 @dataclass
@@ -290,8 +305,11 @@ class Project:
         for callee, sites in call_sites.items():
             sites.sort(key=lambda site: (site.file, site.line))
             index.call_sites[callee] = tuple(sites)
+            unused = sum(1 for site in sites if not site.result_used)
+            index.return_counts[callee] = (len(sites), unused)
         for key, flags in param_usage.items():
             index.param_usage[key] = tuple(flags)
+            index.param_counts[key] = (len(flags), flags.count(False))
         return index
 
     # -- conveniences -------------------------------------------------------

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.core.findings import Candidate
@@ -22,6 +23,13 @@ class PruneContext:
     # Per-run provenance log; the pipeline records one verdict per
     # pruner consulted (None when the run keeps no audit trail).
     provenance: ProvenanceLog | None = None
+    # Per-run memos (the context lives for one pipeline run): each
+    # module's raw text split into lines, and one compiled whole-word
+    # pattern per variable name.  Pruners consult both per candidate.
+    _lines: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+    _word_patterns: dict[str, re.Pattern[str]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def count(self, name: str, value: float = 1, **labels) -> None:
         if self.metrics is not None:
@@ -40,17 +48,30 @@ class PruneContext:
             return None
         return module.functions.get(candidate.function)
 
-    def raw_lines(self, candidate: Candidate) -> list[str]:
-        module = self.module_of(candidate)
-        if module is None or module.source is None:
-            return []
-        return module.source.raw.split("\n")
+    def source_lines(self, path: str) -> list[str]:
+        """The raw (pre-preprocessing) lines of module ``path``, split
+        once per run; shared between callers, so read-only."""
+        lines = self._lines.get(path)
+        if lines is None:
+            module = self.project.modules.get(path)
+            source = module.source if module is not None else None
+            lines = source.raw.split("\n") if source is not None else []
+            self._lines[path] = lines
+        return lines
 
     def raw_line(self, candidate: Candidate, line: int) -> str:
-        lines = self.raw_lines(candidate)
+        lines = self.source_lines(candidate.file)
         if 1 <= line <= len(lines):
             return lines[line - 1]
         return ""
+
+    def word_pattern(self, word: str) -> re.Pattern[str]:
+        """``\\bword\\b``, compiled once per run."""
+        pattern = self._word_patterns.get(word)
+        if pattern is None:
+            pattern = re.compile(rf"\b{re.escape(word)}\b")
+            self._word_patterns[word] = pattern
+        return pattern
 
 
 class Pruner(Protocol):

@@ -13,8 +13,6 @@ region that overlaps the candidate's function."""
 
 from __future__ import annotations
 
-import re
-
 from repro.core.findings import Candidate, CandidateKind
 from repro.core.pruning.base import BasePruner, PruneContext
 from repro.obs import PrunerVerdict
@@ -32,12 +30,13 @@ class ConfigDependencyPruner(BasePruner):
         if module is None or module.source is None or function is None:
             return PrunerVerdict(self.name, False, {"reason": "no raw source"})
         var = candidate.var.split("#", 1)[0]
-        pattern = re.compile(rf"\b{re.escape(var)}\b")
-        raw_lines = module.source.raw.split("\n")
         regions = 0
         for region in module.source.regions:
             if region.end < function.line or region.start > function.end_line:
                 continue
+            if not regions:
+                pattern = context.word_pattern(var)
+                raw_lines = context.source_lines(candidate.file)
             regions += 1
             start = max(region.start, 1)
             end = min(region.end, len(raw_lines))

@@ -27,32 +27,30 @@ class PeerDefinitionPruner(BasePruner):
         self.min_occurrences = min_occurrences
         self.unused_fraction = unused_fraction
 
-    def _mostly_unused(self, usage_flags: list[bool]) -> bool:
-        if len(usage_flags) <= self.min_occurrences:
+    def _mostly_unused(self, sites: int, unused: int) -> bool:
+        if sites <= self.min_occurrences:
             return False
-        unused = sum(1 for used in usage_flags if not used)
-        return unused > self.unused_fraction * len(usage_flags)
+        return unused > self.unused_fraction * sites
 
-    def _examine(self, context: PruneContext, usage_flags, shape: str) -> dict:
-        """Decide one peer set, recording its site statistics: how many
-        peer definition sites were consulted and what fraction ignored
-        the value (the §5.4 thresholds act on exactly these numbers).
-        The returned evidence carries the same counted sites the
-        histograms observe, so the audit trail and the metrics agree by
-        construction."""
-        flags = list(usage_flags)
-        context.observe("prune.peer_sites", len(flags), shape=shape)
-        unused = sum(1 for used in flags if not used)
-        if flags:
-            context.observe("prune.peer_unused_fraction", unused / len(flags), shape=shape)
+    def _examine(self, context: PruneContext, counts: tuple[int, int], shape: str) -> dict:
+        """Decide one peer set from its index tallies, recording its site
+        statistics: how many peer definition sites were consulted and
+        what fraction ignored the value (the §5.4 thresholds act on
+        exactly these numbers).  The returned evidence carries the same
+        counted sites the histograms observe, so the audit trail and the
+        metrics agree by construction."""
+        sites, unused = counts
+        context.observe("prune.peer_sites", sites, shape=shape)
+        if sites:
+            context.observe("prune.peer_unused_fraction", unused / sites, shape=shape)
         return {
             "shape": shape,
-            "sites": len(flags),
+            "sites": sites,
             "unused": unused,
-            "fraction": unused / len(flags) if flags else 0.0,
+            "fraction": unused / sites if sites else 0.0,
             "min_occurrences": self.min_occurrences,
             "unused_threshold": self.unused_fraction,
-            "pruned": self._mostly_unused(flags),
+            "pruned": self._mostly_unused(sites, unused),
         }
 
     def _verdict(self, evidence: dict) -> PrunerVerdict:
@@ -72,7 +70,9 @@ class PeerDefinitionPruner(BasePruner):
             ]
             last: dict | None = None
             for callee in callees:
-                evidence = self._examine(context, index.return_usage(callee), shape="return")
+                evidence = self._examine(
+                    context, index.return_peer_counts(callee), shape="return"
+                )
                 evidence["callee"] = callee
                 if evidence["pruned"]:
                     return self._verdict(evidence)
@@ -84,8 +84,8 @@ class PeerDefinitionPruner(BasePruner):
             location = index.location(candidate.function)
             if location is None or candidate.param_index < 0:
                 return PrunerVerdict(self.name, False, {"reason": "parameter not indexed"})
-            peers = index.peer_params(location.signature, candidate.param_index)
-            evidence = self._examine(context, peers, shape="param")
+            counts = index.param_peer_counts(location.signature, candidate.param_index)
+            evidence = self._examine(context, counts, shape="param")
             evidence["signature"] = location.signature
             evidence["param_index"] = candidate.param_index
             return self._verdict(evidence)

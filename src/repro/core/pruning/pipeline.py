@@ -51,30 +51,50 @@ class PruningPipeline:
         # import reaches back into this module.
         from repro.rules.registry import pack_for_kind
 
-        for pruner in self.pruners:
-            context.count("prune.killed", 0, pruner=pruner.name)
-        for rule in rules or ():
-            context.count("prune.killed", 0, rule=rule)
+        provenance = context.provenance
+        # Tallied locally and flushed once below; each pruner and each
+        # enabled rule is zero-initialised.
+        examined = survived = 0
+        killed_by_pruner = {pruner.name: 0 for pruner in self.pruners}
+        killed_by_rule = {rule: 0 for rule in rules or ()}
+        # kind -> (rule pack name, the pruners that pack allows, in order).
+        routes: dict = {}
         out: list[Finding] = []
         for finding in findings:
-            pack = pack_for_kind(finding.candidate.kind)
+            candidate = finding.candidate
+            route = routes.get(candidate.kind)
+            if route is None:
+                pack = pack_for_kind(candidate.kind)
+                allowed = [p for p in self.pruners if pack.allows_pruner(p.name)]
+                route = routes[candidate.kind] = (pack.name, allowed)
+            rule, allowed = route
             pruned_by: str | None = None
-            for pruner in self.pruners:
-                if not pack.allows_pruner(pruner.name):
-                    continue
-                verdict = pruner.decide(finding.candidate, context)
-                if context.provenance is not None:
-                    context.provenance.add_verdict(finding.key, verdict)
+            verdicts = []
+            for pruner in allowed:
+                verdict = pruner.decide(candidate, context)
+                verdicts.append(verdict)
                 if verdict.pruned:
                     pruned_by = verdict.pruner
                     break
-            context.count("prune.examined")
+            if provenance is not None:
+                provenance.add_verdicts(finding.key, verdicts)
+            examined += 1
             if pruned_by is not None:
-                context.count("prune.killed", 1, pruner=pruned_by)
-                context.count("prune.killed", 1, rule=pack.name)
+                killed_by_pruner[pruned_by] = killed_by_pruner.get(pruned_by, 0) + 1
+                killed_by_rule[rule] = killed_by_rule.get(rule, 0) + 1
             else:
-                context.count("prune.survived")
-            out.append(replace(finding, pruned_by=pruned_by))
+                survived += 1
+            if finding.pruned_by != pruned_by:
+                finding = replace(finding, pruned_by=pruned_by)
+            out.append(finding)
+        for name, kills in killed_by_pruner.items():
+            context.count("prune.killed", kills, pruner=name)
+        for rule, kills in killed_by_rule.items():
+            context.count("prune.killed", kills, rule=rule)
+        if examined:
+            context.count("prune.examined", examined)
+        if survived:
+            context.count("prune.survived", survived)
         return out
 
     def stats(self, findings: list[Finding]) -> dict[str, int]:

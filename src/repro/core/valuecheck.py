@@ -197,7 +197,7 @@ class ValueCheck:
                 findings += self._resolve_semantic(project, semantic, rev)
             for finding in findings:
                 if finding.authorship is not None:
-                    provenance.set_resolution(finding.key, finding.authorship.provenance())
+                    provenance.set_resolution(finding.key, finding.authorship)
             cross = [f for f in findings if f.authorship and f.authorship.cross_scope]
             rest = [f for f in findings if not (f.authorship and f.authorship.cross_scope)]
             registry.inc("resolve.cross_scope", len(cross))

@@ -32,7 +32,7 @@ from repro.core.findings import Candidate
 from repro.core.project import Project
 from repro.engine.cache import DEFAULT_CACHE, ResultCache, module_key
 from repro.engine.worker import ModuleResult, analyze_lowered
-from repro.obs import MetricsRegistry, deterministic_view
+from repro.obs import MetricsRegistry
 from repro.obs.clock import monotonic
 
 
@@ -112,7 +112,7 @@ class AnalysisEngine:
             paths = [path for path in paths if path in project.modules]
 
         run = EngineRun(metrics=registry)
-        hits = 0
+        hits = misses = 0
         keys: dict[str, str] = {}
         pending: list[str] = []
         with obs.span("engine", modules=len(paths)):
@@ -126,7 +126,6 @@ class AnalysisEngine:
                     cached = self.cache.get(key)
                     probe_seconds = monotonic() - probe_started
                     outcome = "hit" if cached is not None else "miss"
-                    registry.inc("engine.cache.lookups", outcome=outcome)
                     registry.observe(
                         "engine.cache.lookup_seconds", probe_seconds, outcome=outcome
                     )
@@ -134,7 +133,12 @@ class AnalysisEngine:
                         run.by_path[path] = cached
                         hits += 1
                         continue
+                    misses += 1
                 pending.append(path)
+            if hits:
+                registry.inc("engine.cache.lookups", hits, outcome="hit")
+            if misses:
+                registry.inc("engine.cache.lookups", misses, outcome="miss")
 
             fresh = set(pending)
             for path in pending:
@@ -162,7 +166,7 @@ class AnalysisEngine:
                     if path in fresh:
                         registry.merge(result.metrics)
                     else:
-                        registry.merge(deterministic_view(result.metrics))
+                        registry.merge(result.replay_metrics())
 
         registry.inc("engine.runs")
         registry.inc("engine.modules", len(paths))

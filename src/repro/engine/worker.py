@@ -21,7 +21,7 @@ from repro import obs
 from repro.core.findings import Candidate
 from repro.core.project import ModuleContribution, build_contribution
 from repro.ir.module import Module
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, deterministic_view
 from repro.pointer.value_flow import ValueFlowGraph
 
 
@@ -41,6 +41,16 @@ class ModuleResult:
     # not rebuilt by the scheduler — so content-cache hits replay the
     # exact records the original analysis produced.
     provenance: list[dict] = field(default_factory=list)
+    # ``deterministic_view(metrics)``, kept from its first computation: a
+    # cached result is replayed on every hit and its snapshot never
+    # changes.
+    _replay_metrics: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def replay_metrics(self) -> dict | None:
+        """The timing-free slice of ``metrics`` that a cache hit replays."""
+        if self._replay_metrics is None and self.metrics is not None:
+            self._replay_metrics = deterministic_view(self.metrics)
+        return self._replay_metrics
 
 
 def analyze_lowered(

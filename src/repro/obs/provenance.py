@@ -112,6 +112,12 @@ class ProvenanceRecord:
         }
 
 
+def _cross_scope(resolution) -> bool:
+    if isinstance(resolution, dict):
+        return bool(resolution.get("cross_scope", False))
+    return bool(resolution.cross_scope)
+
+
 class ProvenanceLog:
     """Thread-safe collection of provenance records for one run.
 
@@ -120,83 +126,145 @@ class ProvenanceLog:
     folds them in via :meth:`merge_detections` in sorted path order,
     mirroring how module metrics snapshots merge.  Resolution, verdicts and ranking are
     recorded by the (single-threaded) tail of the pipeline.
+
+    Storage is one map per record part, keyed by candidate key, and
+    :class:`ProvenanceRecord` objects are built only when read.  A run
+    records every candidate but is rarely explained, and every container
+    object a record holds lives as long as the report, so each one is
+    work for the cyclic collector's oldest generation.  Writes therefore
+    keep no per-verdict objects the collector tracks: detection slices
+    and resolution objects are kept by reference, verdict evidence dicts
+    go into one run-wide list, and each key keeps a tuple of
+    ``(pruner, pruned, evidence index)`` entries — plain tuples of
+    atoms, which the collector stops tracking.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: dict[str, ProvenanceRecord] = {}
+        # key -> status; holds every key with a record.
+        self._status: dict[str, str] = {}
+        self._detections: dict[str, dict] = {}
+        # A resolution dict, or the object whose ``provenance()`` builds it.
+        self._resolutions: dict[str, object] = {}
+        self._evidence: list[dict] = []
+        self._verdicts: dict[str, tuple[tuple[str, bool, int], ...]] = {}
+        self._rankings: dict[str, dict] = {}
+        self._pruned_by: dict[str, str | None] = {}
+        self._ranks: dict[str, int | None] = {}
 
     # -- recording -------------------------------------------------------
 
-    def _record(self, key: str) -> ProvenanceRecord:
-        record = self._records.get(key)
-        if record is None:
-            record = ProvenanceRecord(key=key)
-            self._records[key] = record
-        return record
-
     def add_detection(self, detection: dict) -> None:
         with self._lock:
-            record = self._record(detection["key"])
-            record.detection = dict(detection)
+            key = detection["key"]
+            self._status.setdefault(key, "detected")
+            self._detections[key] = dict(detection)
 
     def merge_detections(self, detections: list[dict]) -> None:
-        """Fold one module's detection slice in (scheduler merge path)."""
-        for detection in detections:
-            self.add_detection(detection)
+        """Fold one module's detection slice in (scheduler merge path).
 
-    def set_resolution(self, key: str, resolution: dict) -> None:
+        The slices are stored as given, not copied: they are the
+        immutable records a cached module result replays, and reads hand
+        out copies."""
         with self._lock:
-            record = self._record(key)
-            record.resolution = dict(resolution)
-            if not resolution.get("cross_scope", False):
-                record.status = "not_cross_scope"
+            for detection in detections:
+                key = detection["key"]
+                self._status.setdefault(key, "detected")
+                self._detections[key] = detection
+
+    def set_resolution(self, key: str, resolution) -> None:
+        """Record the resolution slice: a dict, or an immutable object
+        with a ``cross_scope`` flag whose ``provenance()`` builds the
+        dict (kept by reference, rendered when read)."""
+        if isinstance(resolution, dict):
+            resolution = dict(resolution)
+        with self._lock:
+            self._status.setdefault(key, "detected")
+            self._resolutions[key] = resolution
+            if not _cross_scope(resolution):
+                self._status[key] = "not_cross_scope"
 
     def add_verdict(self, key: str, verdict: PrunerVerdict) -> None:
+        self.add_verdicts(key, (verdict,))
+
+    def add_verdicts(self, key: str, verdicts) -> None:
+        """Append one candidate's verdicts, in consultation order."""
+        if not verdicts:
+            return
         with self._lock:
-            record = self._record(key)
-            record.verdicts.append(verdict)
-            if verdict.pruned:
-                record.status = "pruned"
-                record.pruned_by = verdict.pruner
+            self._status.setdefault(key, "detected")
+            evidence = self._evidence
+            entries = []
+            for verdict in verdicts:
+                entries.append((verdict.pruner, verdict.pruned, len(evidence)))
+                evidence.append(verdict.evidence)
+                if verdict.pruned:
+                    self._status[key] = "pruned"
+                    self._pruned_by[key] = verdict.pruner
+            self._verdicts[key] = self._verdicts.get(key, ()) + tuple(entries)
 
     def set_ranking(self, key: str, ranking: dict) -> None:
         with self._lock:
-            record = self._record(key)
-            record.ranking = dict(ranking)
+            self._status.setdefault(key, "detected")
+            self._rankings[key] = dict(ranking)
 
     def finalize(self, findings) -> None:
         """Stamp each finding's terminal status and rank position."""
         with self._lock:
             for finding in findings:
-                record = self._records.get(finding.key)
-                if record is None:
+                key = finding.key
+                if key not in self._status:
                     continue
-                record.rank = finding.rank
-                record.pruned_by = finding.pruned_by
+                self._ranks[key] = finding.rank
+                self._pruned_by[key] = finding.pruned_by
                 if finding.is_reported:
-                    record.status = "reported"
+                    self._status[key] = "reported"
                 elif finding.pruned_by is not None:
-                    record.status = "pruned"
-                elif record.resolution is not None and not record.resolution.get(
-                    "cross_scope", False
-                ):
-                    record.status = "not_cross_scope"
+                    self._status[key] = "pruned"
+                else:
+                    resolution = self._resolutions.get(key)
+                    if resolution is not None and not _cross_scope(resolution):
+                        self._status[key] = "not_cross_scope"
 
     # -- reading ---------------------------------------------------------
 
+    def _build(self, key: str) -> ProvenanceRecord:
+        """One record from its stored parts (caller holds the lock)."""
+        resolution = self._resolutions.get(key)
+        if resolution is not None:
+            resolution = (
+                dict(resolution) if isinstance(resolution, dict) else resolution.provenance()
+            )
+        ranking = self._rankings.get(key)
+        return ProvenanceRecord(
+            key=key,
+            detection=dict(self._detections.get(key, {})),
+            resolution=resolution,
+            verdicts=[
+                PrunerVerdict(pruner, pruned, self._evidence[index])
+                for pruner, pruned, index in self._verdicts.get(key, ())
+            ],
+            ranking=dict(ranking) if ranking is not None else None,
+            status=self._status[key],
+            pruned_by=self._pruned_by.get(key),
+            rank=self._ranks.get(key),
+        )
+
     def get(self, key: str) -> ProvenanceRecord | None:
         with self._lock:
-            return self._records.get(key)
+            return self._build(key) if key in self._status else None
 
     def records(self) -> list[ProvenanceRecord]:
         """All records, sorted by candidate key (the canonical order)."""
         with self._lock:
-            return [self._records[key] for key in sorted(self._records)]
+            return [self._build(key) for key in sorted(self._status)]
 
     def find(self, fragment: str) -> list[ProvenanceRecord]:
         """Records whose key contains ``fragment`` (explain lookups)."""
-        return [record for record in self.records() if fragment in record.key]
+        with self._lock:
+            return [
+                self._build(key) for key in sorted(self._status) if fragment in key
+            ]
 
     def snapshot(self) -> list[dict]:
         """Plain dicts, sorted by key — the JSONL/SARIF payload."""
@@ -212,7 +280,7 @@ class ProvenanceLog:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._status)
 
     # -- aggregates ------------------------------------------------------
 
@@ -224,19 +292,19 @@ class ProvenanceLog:
         the two views cannot diverge.
         """
         with self._lock:
-            records = list(self._records.values())
+            statuses_by_key = dict(self._status)
+            pruned_by_key = dict(self._pruned_by)
+            explained = len(self._resolutions)
         pruned_by: dict[str, int] = {}
         statuses: dict[str, int] = {status: 0 for status in STATUSES}
-        explained = 0
-        for record in records:
-            statuses[record.status] = statuses.get(record.status, 0) + 1
-            if record.pruned_by is not None:
-                pruned_by[record.pruned_by] = pruned_by.get(record.pruned_by, 0) + 1
-            if record.resolution is not None:
-                explained += 1
+        for status in statuses_by_key.values():
+            statuses[status] = statuses.get(status, 0) + 1
+        for pruner in pruned_by_key.values():
+            if pruner is not None:
+                pruned_by[pruner] = pruned_by.get(pruner, 0) + 1
         return {
             "schema": PROVENANCE_SCHEMA_VERSION,
-            "candidates": len(records),
+            "candidates": len(statuses_by_key),
             "explained": explained,
             "pruned_by": dict(sorted(pruned_by.items())),
             "statuses": statuses,

@@ -201,3 +201,32 @@ class TestDeadStores:
         results = resolve(repo)
         candidate, authorship = single(results, CandidateKind.DEAD_STORE)
         assert not authorship.cross_scope
+
+
+class TestResolverMemo:
+    """A resolver answers each candidate once; repeats are lookups that
+    equal a fresh resolution."""
+
+    def _project(self):
+        versions = TestScenario3OverwrittenDef
+        return project_from_repo(
+            build_history([(AUTHOR1, versions.V1), (AUTHOR2, versions.V2)])
+        )
+
+    def test_repeat_resolution_is_a_lookup(self):
+        project = self._project()
+        candidates = ValueCheck().detect_candidates(project)
+        resolver = project.resolver()
+        first = [resolver.resolve(c) for c in candidates]
+        again = [resolver.resolve(c) for c in candidates]
+        assert all(a is b for a, b in zip(first, again))
+        fresh = CrossScopeResolver(project)
+        assert [fresh.resolve(c) for c in candidates] == first
+
+    def test_index_change_drops_memoised_resolutions(self):
+        project = self._project()
+        resolver = project.resolver()
+        candidates = ValueCheck().detect_candidates(project)
+        resolver.resolve_all(candidates)
+        project.invalidate({"t.c"})
+        assert project.resolver() is not resolver

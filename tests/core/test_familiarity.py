@@ -74,6 +74,64 @@ class TestDokModel:
         assert full.score(AUTHOR2, "core.c") != no_ac.score(AUTHOR2, "core.c")
 
 
+class TestDokAuthorLookup:
+    """Name lookups resolve against one author map per model, built from
+    a single walk of the history."""
+
+    def _counting(self, repo):
+        calls = []
+        authors = repo.authors
+
+        def counted():
+            calls.append(1)
+            return authors()
+
+        repo.authors = counted
+        return calls
+
+    def test_authors_walked_at_most_once_per_model(self):
+        repo = repo_with_history()
+        calls = self._counting(repo)
+        model = DokModel(repo)
+        for name in ("author1", "author2", "nobody"):
+            for path in ("core.c", "util.c"):
+                for rev in (None, 1, 2):
+                    model.score(name, path, until_rev=rev)
+                    model.breakdown(name, path, until_rev=rev)
+        assert len(calls) <= 1
+        # A second model builds its own map.
+        DokModel(repo).score("author1", "core.c")
+        assert len(calls) <= 2
+
+    def test_scores_equal_direct_file_stats(self):
+        repo = repo_with_history()
+        weights = DokWeights()
+        model = DokModel(repo, weights=weights)
+        for author in (AUTHOR1, AUTHOR2, Author("nobody")):
+            for path in ("core.c", "util.c"):
+                for rev in (None, 0, 1, 2, 3):
+                    stats = repo.file_stats(path, author, until_rev=rev)
+                    expected = (
+                        weights.alpha0
+                        + weights.alpha_fa * (1 if stats.first_authorship else 0)
+                        + weights.alpha_dl * stats.deliveries
+                        - weights.alpha_ac * math.log1p(stats.acceptances)
+                    )
+                    # By name (the ranking path) and by object agree.
+                    assert model.score(author.name, path, until_rev=rev) == expected
+                    assert model.score(author, path, until_rev=rev) == expected
+
+    def test_unknown_name_scores_with_no_authorship(self):
+        repo = repo_with_history()
+        model = DokModel(repo)
+        terms = model.breakdown("nobody", "core.c")
+        assert terms["author"] == "nobody"
+        assert terms["fa"] == 0
+        assert terms["dl"] == 0
+        assert terms["ac"] == 3  # every commit to core.c is someone else's
+        assert model.score("nobody", "core.c") == pytest.approx(3.1 - 0.5 * math.log1p(3))
+
+
 class TestEaModel:
     def test_commit_classification(self):
         assert classify_commit_message("Fix NULL deref in parser") == "fix"

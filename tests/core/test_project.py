@@ -91,3 +91,49 @@ class TestIndex:
         project = Project.from_sources(SOURCES)
         names = [fn.name for _, _, fn in project.functions()]
         assert names == ["entry", "helper"]
+
+
+def assert_peer_counts_consistent(index):
+    """The stored (sites, unused) tallies equal a recount of the flags."""
+    assert set(index.return_counts) == set(index.call_sites)
+    for callee in index.call_sites:
+        flags = index.return_usage(callee)
+        assert index.return_peer_counts(callee) == (len(flags), flags.count(False))
+    assert set(index.param_counts) == set(index.param_usage)
+    for signature, position in index.param_usage:
+        flags = index.peer_params(signature, position)
+        assert index.param_peer_counts(signature, position) == (
+            len(flags),
+            flags.count(False),
+        )
+
+
+class TestPeerCounts:
+    def test_small_project_counts(self):
+        index = Project.from_sources(SOURCES).index
+        assert index.return_peer_counts("helper") == (2, 1)
+        location = index.location("helper")
+        assert index.param_peer_counts(location.signature, 0) == (1, 0)
+        assert index.return_peer_counts("no_such_function") == (0, 0)
+        assert index.param_peer_counts(("void",), 3) == (0, 0)
+        assert_peer_counts_consistent(index)
+
+    def test_incremental_counts_match_fresh_build(self):
+        from repro.core.incremental import IncrementalAnalyzer
+        from repro.corpus.generator import generate_app
+
+        app = generate_app("mysql", scale=0.1, seed=7)
+        repo = app.repo
+        head = len(repo.commits) - 1
+        config = set(app.build_config)
+        analyzer = IncrementalAnalyzer(repo, start_rev=head - 6, build_config=config)
+        assert_peer_counts_consistent(analyzer.project.index)
+        changed = [analyzer.replay_next().changed_files for _ in range(6)]
+        assert any(changed)  # the replay really edited modules
+        incremental = analyzer.project.index
+        fresh = Project.from_repository(repo, rev=head, build_config=config).index
+        assert_peer_counts_consistent(incremental)
+        assert_peer_counts_consistent(fresh)
+        assert incremental.return_counts == fresh.return_counts
+        assert incremental.param_counts == fresh.param_counts
+        assert any(sites > 10 for sites, _ in fresh.return_counts.values())

@@ -9,10 +9,16 @@ edges."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind, Finding
+from repro.core.project import Project
 from repro.core.pruning import PeerDefinitionPruner, PruneContext, default_pipeline
+from repro.corpus.profiles import PROFILES
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import parse_key
+from repro.rules.registry import resolve_rules
 from repro.obs.sinks import prune_kills
 
 from tests.core.helpers import project_from_sources
@@ -174,3 +180,71 @@ class TestPeerThresholdEdges:
         assert PeerDefinitionPruner().should_prune(candidate, context)
         assert registry.histogram("prune.peer_sites", shape="param") == [12]
         assert registry.histogram("prune.peer_sites", shape="return") == []
+
+
+def _profile_findings(profile):
+    """(project, cross-scope findings) of a profile's scale-0.1 corpus."""
+    from repro.corpus.generator import generate_app
+    from repro.engine import AnalysisEngine
+
+    app = generate_app(profile, scale=0.1, seed=7)
+    project = Project.from_repository(
+        app.repo, name=app.name, build_config=set(app.build_config)
+    )
+    candidates = AnalysisEngine(cache=None).run(project).candidates
+    findings = project.resolver(None).resolve_all(candidates)
+    return project, [f for f in findings if f.authorship.cross_scope]
+
+
+@pytest.fixture(scope="module", params=sorted(PROFILES))
+def profile_run(request):
+    return _profile_findings(request.param)
+
+
+class TestCorpusPruning:
+    """Every profile's scale-0.1 corpus through the real pruners."""
+
+    def test_shared_context_matches_fresh_contexts(self, profile_run):
+        # One context for the whole run memoises source lines and word
+        # patterns; its verdicts must equal a fresh context per candidate,
+        # so nothing one candidate or module caches leaks into another.
+        project, findings = profile_run
+        pruners = default_pipeline().pruners
+        shared = PruneContext(project=project)
+        with_shared = [
+            pruner.decide(finding.candidate, shared)
+            for finding in findings
+            for pruner in pruners
+        ]
+        with_fresh = [
+            pruner.decide(finding.candidate, PruneContext(project=project))
+            for finding in findings
+            for pruner in pruners
+        ]
+        assert with_shared == with_fresh
+        assert len({finding.candidate.file for finding in findings}) > 1
+        assert any(verdict.pruned for verdict in with_shared)
+
+    def test_counters_reconcile(self, profile_run):
+        project, findings = profile_run
+        registry = MetricsRegistry()
+        rules = tuple(pack.name for pack in resolve_rules(None))
+        stamped = default_pipeline().apply(
+            findings, PruneContext(project=project, metrics=registry), rules=rules
+        )
+        examined = registry.counter("prune.examined")
+        survived = registry.counter("prune.survived")
+        by_pruner = {}
+        by_rule = {}
+        for key, value in registry.counters_by_name("prune.killed").items():
+            _, labels = parse_key(key)
+            if "pruner" in labels:
+                by_pruner[labels["pruner"]] = value
+            else:
+                by_rule[labels["rule"]] = value
+        assert examined == len(findings)
+        assert examined == survived + sum(by_pruner.values())
+        assert sum(by_pruner.values()) == sum(by_rule.values())
+        assert set(by_pruner) == set(ALL_PRUNERS)
+        assert set(rules) <= set(by_rule)
+        assert survived == sum(1 for f in stamped if f.pruned_by is None)

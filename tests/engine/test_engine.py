@@ -103,6 +103,40 @@ class TestModuleCache:
         assert len(cache) == 2
 
 
+class TestHitPath:
+    def test_lookup_counters_tally_every_module(self):
+        engine = AnalysisEngine(cache=ResultCache())
+        cold = engine.run(Project.from_sources(dict(SOURCES))).metrics
+        assert cold.counter("engine.cache.lookups", outcome="miss") == len(SOURCES)
+        assert cold.counter("engine.cache.lookups", outcome="hit") == 0
+        assert "engine.cache.lookups{outcome=hit}" not in cold.snapshot()["counters"]
+        edited = dict(SOURCES, **{"other.c": "void idle(void)\n{\n}\n"})
+        warm = engine.run(Project.from_sources(edited)).metrics
+        assert warm.counter("engine.cache.lookups", outcome="hit") == len(SOURCES) - 1
+        assert warm.counter("engine.cache.lookups", outcome="miss") == 1
+        # One latency observation per module probed.
+        assert len(warm.histogram("engine.cache.lookup_seconds", outcome="hit")) == 2
+        assert len(warm.histogram("engine.cache.lookup_seconds", outcome="miss")) == 1
+
+    def test_replayed_metrics_kept_from_first_computation(self):
+        from repro.obs import deterministic_view
+
+        cache = ResultCache()
+        engine = AnalysisEngine(cache=cache)
+        first = engine.run(Project.from_sources(dict(SOURCES)))
+        result = first.by_path["app.c"]
+        view = result.replay_metrics()
+        assert view == deterministic_view(result.metrics)
+        assert result.replay_metrics() is view
+        again = engine.run(Project.from_sources(dict(SOURCES)))
+        assert again.by_path["app.c"] is result
+        assert result.replay_metrics() is view
+        # Replays merge the same content metrics the cold run recorded.
+        assert deterministic_view(again.metrics.snapshot())["histograms"][
+            "andersen.iterations"
+        ] == deterministic_view(first.metrics.snapshot())["histograms"]["andersen.iterations"]
+
+
 class TestInvalidation:
     def test_invalidate_evicts_exactly_touched_modules(self):
         project = Project.from_sources(dict(SOURCES))

@@ -175,3 +175,56 @@ class TestRendering:
     def test_format_evidence_sorts_and_rounds(self):
         assert format_evidence({"b": 0.5, "a": 1}) == " (a=1, b=0.500)"
         assert format_evidence({}) == ""
+
+
+class TestStorage:
+    """Records are stored as parts and built on read."""
+
+    def test_batched_verdicts_equal_one_by_one(self):
+        verdicts = [
+            PrunerVerdict(pruner="cursor", pruned=False, evidence={"delta": 1}),
+            PrunerVerdict(pruner="unused_hints", pruned=True, evidence={"hint": "void_cast"}),
+        ]
+        batched, single = ProvenanceLog(), ProvenanceLog()
+        for log in (batched, single):
+            log.add_detection(_detection())
+        key = "a.c:f:x:3:dead_store"
+        batched.add_verdicts(key, verdicts)
+        for verdict in verdicts:
+            single.add_verdict(key, verdict)
+        assert batched.to_jsonl() == single.to_jsonl()
+        assert batched.get(key).verdicts == verdicts
+        assert batched.get(key).pruned_by == "unused_hints"
+        batched.add_verdicts("b.c:g:y:1:dead_store", [])
+        assert batched.get("b.c:g:y:1:dead_store") is None
+
+    def test_reads_do_not_alias_stored_slices(self):
+        log = ProvenanceLog()
+        detection = _detection()
+        log.merge_detections([detection])
+        record = log.get(detection["key"])
+        record.detection["file"] = "changed.c"
+        record.verdicts.append(PrunerVerdict(pruner="cursor", pruned=True))
+        assert detection["file"] == "a.c"
+        assert log.get(detection["key"]).detection["file"] == "a.c"
+        assert log.get(detection["key"]).verdicts == []
+
+    def test_resolution_object_renders_like_its_dict(self):
+        from repro.core.findings import AuthorshipInfo
+
+        info = AuthorshipInfo(
+            cross_scope=False,
+            def_author="alice",
+            counterpart_authors=("bob",),
+            reason="overwriters share the definition's author",
+            peer_sites=1,
+        )
+        by_object, by_dict = ProvenanceLog(), ProvenanceLog()
+        key = "a.c:f:x:3:dead_store"
+        for log in (by_object, by_dict):
+            log.add_detection(_detection())
+        by_object.set_resolution(key, info)
+        by_dict.set_resolution(key, info.provenance())
+        assert by_object.to_jsonl() == by_dict.to_jsonl()
+        assert by_object.get(key).status == "not_cross_scope"
+        assert by_object.aggregates() == by_dict.aggregates()

@@ -176,9 +176,13 @@ class TestTelemetryFlags:
 class TestProfiling:
     def test_analyze_profile_out_writes_folded_stacks(self, corpus_dir, tmp_path, capsys):
         profile_path = tmp_path / "profile.folded"
+        # Without the module cache the profiled run does the cold work, so
+        # the 1 ms sampler always has a running analysis to sample (an
+        # all-cache-hit analyze can finish between two samples).
         rc = main(
             [
                 "analyze", str(corpus_dir / "src"),
+                "--no-module-cache",
                 "--profile-out", str(profile_path),
                 "--profile-interval", "0.001",
             ]
